@@ -15,8 +15,8 @@
 ///            worker slot bumping a private ProfileRuntime shard
 ///            (interp/ShardedProfile.h) — no shared counters, no atomics,
 ///   merge    the deterministic stride-doubling tree merge of the shards,
-///   solve    the full estimation stack under the component-partitioned
-///            interval solver (SolverImpl::Parallel) on the same pool.
+///   solve    the full estimation stack under the worklist interval
+///            solver on the calling thread.
 ///
 /// Correctness is checked inside the harness: every point's merged counters
 /// and solver metrics must equal the jobs=1 point's bit for bit — the curve
@@ -30,7 +30,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "estimate/Estimators.h"
-#include "estimate/IntervalSolver.h"
 #include "frontend/Compiler.h"
 #include "interp/Interpreter.h"
 #include "interp/PlanCache.h"
@@ -39,7 +38,6 @@
 #include "support/BenchJson.h"
 #include "support/TableWriter.h"
 #include "support/TaskPool.h"
-#include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
 
 #include <algorithm>
@@ -151,16 +149,11 @@ bool runPoint(std::vector<Prepared> &Suite, std::vector<Baseline> &Base,
     ProfileRuntime &Merged = SP->merge(&Pool);
     Pt.MergeSeconds += secondsSince(T0);
 
-    // Solve: the estimation stack on the merged profile, components of each
-    // constraint system running concurrently.
+    // Solve: the estimation stack on the merged profile.
     ModuleEstimator Est(*P.M, P.MI, Merged);
-    setThreadSolverImpl(SolverImpl::Parallel);
-    setThreadSolverPool(&Pool);
     T0 = std::chrono::steady_clock::now();
     EstimateMetrics Met = Est.estimateAll(nullptr);
     Pt.SolveSeconds += secondsSince(T0);
-    setThreadSolverPool(nullptr);
-    setThreadSolverImpl(SolverImpl::Worklist);
 
     if (WI >= Base.size()) {
       Base.push_back({std::move(SP), Met});

@@ -43,7 +43,6 @@
 #include "support/Format.h"
 #include "support/TableWriter.h"
 #include "support/TaskPool.h"
-#include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
 
 #include <algorithm>
@@ -171,10 +170,8 @@ int usage() {
       "default 32; 0 = record on the first completion), --no-traces\n"
       "(interpret everything, never trace), --trace-link-threshold N\n"
       "(side-exit deopts before a bridge trace is stitched in, default 8,\n"
-      "0 = never link), --no-trace-opt (run compiled traces verbatim,\n"
-      "skipping the trace-local optimizer) and --trace-dwe-gate N (disable\n"
-      "a trace's wrap-recovery dead-write elimination once its observed\n"
-      "deopt rate exceeds N deopts per 100 enters; 0 = never, default 100).\n"
+      "0 = never link) and --no-trace-opt (check every trace guard on\n"
+      "every pass instead of once per batch of guard pass budgets).\n"
       "\n"
       "A file name matching an embedded workload (e.g. 'mcf') may be used\n"
       "in place of a path.\n",
@@ -238,10 +235,6 @@ struct Parsed {
   std::string ModuleFile;     ///< profdata show --module FILE
   bool NoBounds = false;      ///< profdata show --no-bounds
   std::string EmitProfdata;   ///< bench --emit-profdata DIR
-  /// --trace-dwe-gate: deopts per 100 trace enters above which a trace's
-  /// Wrap-recovery dead-write elimination is disabled (0 = never).
-  uint32_t TraceDWEGate = 0;
-  bool HasTraceDWEGate = false;
   std::string Host = "127.0.0.1"; ///< serve-bench --host
   int Port = -1;                  ///< serve/serve-bench --port (0 = ephemeral)
   unsigned Clients = 16;          ///< serve-bench --clients
@@ -299,14 +292,6 @@ Parsed parseArgs(int Argc, char **Argv, int Start) {
       }
     } else if (A == "--no-trace-opt") {
       P.NoTraceOpt = true;
-    } else if (A == "--trace-dwe-gate" && I + 1 < Argc) {
-      int V = std::atoi(Argv[++I]);
-      if (V < 0) {
-        P.Bad = true;
-      } else {
-        P.TraceDWEGate = static_cast<uint32_t>(V);
-        P.HasTraceDWEGate = true;
-      }
     } else if (A == "--host" && I + 1 < Argc) {
       P.Host = Argv[++I];
     } else if (A == "--port" && I + 1 < Argc) {
@@ -353,6 +338,8 @@ Parsed parseArgs(int Argc, char **Argv, int Start) {
       P.NoBounds = true;
     } else if (A == "--emit-profdata" && I + 1 < Argc) {
       P.EmitProfdata = Argv[++I];
+    } else if (A.rfind("--", 0) == 0) {
+      P.Bad = true; // unknown option (or one missing its value)
     } else if (P.File.empty()) {
       P.File = A;
     } else {
@@ -389,7 +376,7 @@ std::vector<int64_t> fitArgs(const Parsed &P, const Module &M) {
 }
 
 /// Applies the tracing-tier knobs (--no-traces, --trace-threshold,
-/// --trace-link-threshold, --no-trace-opt, --trace-dwe-gate) to a run
+/// --trace-link-threshold, --no-trace-opt) to a run
 /// configuration. Only the fast engine consults them.
 void applyTraceOpts(RunConfig &RC, const Parsed &P) {
   if (P.NoTraces)
@@ -400,8 +387,6 @@ void applyTraceOpts(RunConfig &RC, const Parsed &P) {
     RC.TraceLinkThreshold = P.TraceLinkThreshold;
   if (P.NoTraceOpt)
     RC.EnableTraceOpt = false;
-  if (P.HasTraceDWEGate)
-    RC.TraceDWEGate = P.TraceDWEGate;
 }
 
 /// `olpp run <file> --profile art.olpp`: the artifact-driven warmup skip.
@@ -1677,8 +1662,8 @@ int cmdBench(const Parsed &P) {
   auto T0 = std::chrono::steady_clock::now();
 
   // Phase 1: each workload measured under both engines, in parallel.
-  parallelFor(Items.size(), Jobs,
-              [&](size_t I, unsigned) { benchOneWorkload(Items[I], P); });
+  TaskPool(Jobs).parallelFor(
+      Items.size(), [&](size_t I, unsigned) { benchOneWorkload(Items[I], P); });
   for (const BenchItem &Item : Items)
     if (!Item.Error.empty()) {
       std::fprintf(stderr, "error: workload %s: %s\n", Item.W->Name.c_str(),

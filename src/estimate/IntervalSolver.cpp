@@ -6,12 +6,8 @@
 
 #include "estimate/IntervalSolver.h"
 
-#include "support/TaskPool.h"
-
 #include <cassert>
 #include <cstddef>
-#include <numeric>
-#include <unordered_map>
 
 using namespace olpp;
 
@@ -113,28 +109,16 @@ olpp::solveBoundsSweep(uint32_t NumCells,
 }
 
 static thread_local SolverImpl ThreadImpl = SolverImpl::Worklist;
-static thread_local TaskPool *ThreadSolverPool = nullptr;
 
 void olpp::setThreadSolverImpl(SolverImpl Impl) { ThreadImpl = Impl; }
 
 SolverImpl olpp::threadSolverImpl() { return ThreadImpl; }
 
-void olpp::setThreadSolverPool(TaskPool *Pool) { ThreadSolverPool = Pool; }
-
-TaskPool *olpp::threadSolverPool() { return ThreadSolverPool; }
-
 BoundsResult olpp::solveBounds(uint32_t NumCells,
                                const std::vector<SumConstraint> &Constraints,
                                uint32_t MaxIterations) {
-  switch (ThreadImpl) {
-  case SolverImpl::Sweep:
+  if (ThreadImpl == SolverImpl::Sweep)
     return solveBoundsSweep(NumCells, Constraints, MaxIterations);
-  case SolverImpl::Parallel:
-    return solveBoundsParallel(NumCells, Constraints, MaxIterations,
-                               ThreadSolverPool);
-  case SolverImpl::Worklist:
-    break;
-  }
   return solveBoundsWorklist(NumCells, Constraints, MaxIterations);
 }
 
@@ -213,145 +197,5 @@ olpp::solveBoundsWorklist(uint32_t NumCells,
   // One "round" of residual bookkeeping so callers that print Iterations
   // see a sane small number; Evaluations is the real effort metric.
   R.Iterations = 1;
-  return R;
-}
-
-namespace {
-
-/// The worklist kernel restricted to the constraint subset \p Subset
-/// (global indices into \p Constraints, in input order). Tightens the
-/// shared bound vectors in place; the caller guarantees the subset's cells
-/// are disjoint from every other concurrently-solved subset. Mirrors
-/// solveBoundsWorklist exactly — same FIFO seeding, same dedup, same
-/// budget-check placement — so the evaluation sequence equals the global
-/// worklist's restricted to this component. Adds pops to \p Evals; returns
-/// whether the component converged within \p Budget.
-bool runWorklistOver(const std::vector<SumConstraint> &Constraints,
-                     const std::vector<uint32_t> &Subset,
-                     std::vector<uint64_t> &Lower, std::vector<uint64_t> &Upper,
-                     uint64_t Budget, uint64_t &Evals) {
-  const uint32_t N = static_cast<uint32_t>(Subset.size());
-  // Cell -> incident local positions. A hash map instead of the global
-  // solver's CSR arrays: a component is usually tiny relative to the cell
-  // space, and every component allocating NumCells-sized arrays would make
-  // partitioning quadratic.
-  std::unordered_map<uint32_t, std::vector<uint32_t>> Inc;
-  for (uint32_t LI = 0; LI < N; ++LI)
-    for (uint32_t Cell : Constraints[Subset[LI]].Cells)
-      Inc[Cell].push_back(LI);
-
-  std::vector<uint32_t> Queue(Subset.size());
-  std::vector<uint8_t> InQueue(N, 1);
-  for (uint32_t LI = 0; LI < N; ++LI)
-    Queue[LI] = LI;
-  size_t Head = 0;
-
-  std::vector<uint32_t> Changed;
-  while (Head < Queue.size()) {
-    if (Evals >= Budget)
-      return false;
-    uint32_t LI = Queue[Head++];
-    InQueue[LI] = 0;
-    if (Head > 1024 && Head * 2 > Queue.size()) {
-      Queue.erase(Queue.begin(), Queue.begin() + static_cast<long>(Head));
-      Head = 0;
-    }
-
-    Changed.clear();
-    evalConstraint(Constraints[Subset[LI]], Lower, Upper, &Changed);
-    ++Evals;
-
-    for (uint32_t Cell : Changed)
-      for (uint32_t Dep : Inc[Cell])
-        if (!InQueue[Dep]) {
-          InQueue[Dep] = 1;
-          Queue.push_back(Dep);
-        }
-  }
-  return true;
-}
-
-} // namespace
-
-BoundsResult
-olpp::solveBoundsParallel(uint32_t NumCells,
-                          const std::vector<SumConstraint> &Constraints,
-                          uint32_t MaxIterations, TaskPool *Pool) {
-  BoundsResult R;
-  R.Lower.assign(NumCells, 0);
-  R.Upper.assign(NumCells, UnknownUpper);
-
-  for ([[maybe_unused]] const SumConstraint &C : Constraints)
-    for ([[maybe_unused]] uint32_t Cell : C.Cells)
-      assert(Cell < NumCells && "constraint cell out of range");
-
-  const uint32_t NumConstraints = static_cast<uint32_t>(Constraints.size());
-  if (NumConstraints == 0) {
-    R.Converged = true;
-    return R;
-  }
-
-  // Union-find over cells: two constraints interact iff they (transitively)
-  // share a cell, so the connected components are independently solvable.
-  std::vector<uint32_t> Parent(NumCells);
-  std::iota(Parent.begin(), Parent.end(), 0u);
-  auto Find = [&Parent](uint32_t X) {
-    while (Parent[X] != X) {
-      Parent[X] = Parent[Parent[X]]; // path halving
-      X = Parent[X];
-    }
-    return X;
-  };
-  for (const SumConstraint &C : Constraints)
-    for (size_t I = 1; I < C.Cells.size(); ++I) {
-      uint32_t A = Find(C.Cells[0]), B = Find(C.Cells[I]);
-      if (A != B)
-        Parent[B] = A;
-    }
-
-  // Group constraints by component, in first-appearance order so the
-  // partition (and the merge of results) is deterministic. A cell-less
-  // constraint interacts with nothing and becomes its own singleton; the
-  // worklist still pops it exactly once, and so do we.
-  std::vector<std::vector<uint32_t>> Comps;
-  std::vector<int32_t> CompOfRoot(NumCells, -1);
-  for (uint32_t CI = 0; CI < NumConstraints; ++CI) {
-    if (Constraints[CI].Cells.empty()) {
-      Comps.push_back({CI});
-      continue;
-    }
-    uint32_t Root = Find(Constraints[CI].Cells[0]);
-    if (CompOfRoot[Root] < 0) {
-      CompOfRoot[Root] = static_cast<int32_t>(Comps.size());
-      Comps.emplace_back();
-    }
-    Comps[static_cast<size_t>(CompOfRoot[Root])].push_back(CI);
-  }
-
-  std::vector<uint8_t> CompConverged(Comps.size(), 0);
-  std::vector<uint64_t> CompEvals(Comps.size(), 0);
-  auto SolveOne = [&](size_t I) {
-    const std::vector<uint32_t> &Sub = Comps[I];
-    uint64_t Budget = static_cast<uint64_t>(MaxIterations) * Sub.size();
-    CompConverged[I] =
-        runWorklistOver(Constraints, Sub, R.Lower, R.Upper, Budget,
-                        CompEvals[I]);
-  };
-
-  if (Comps.size() == 1) {
-    SolveOne(0);
-  } else {
-    if (!Pool)
-      Pool = &TaskPool::shared();
-    Pool->parallelFor(Comps.size(),
-                      [&](size_t I, unsigned) { SolveOne(I); });
-  }
-
-  R.Converged = true;
-  for (size_t I = 0; I < Comps.size(); ++I) {
-    R.Converged = R.Converged && CompConverged[I];
-    R.Evaluations += CompEvals[I];
-  }
-  R.Iterations = R.Converged ? 1 : 0;
   return R;
 }

@@ -26,16 +26,6 @@
 /// original whole-set sweep as the oracle the worklist is differentially
 /// tested against (tests/estimate/SolverWorklistTest.cpp).
 ///
-/// Order-independence also makes the system parallelizable without locks:
-/// constraints sharing no cells cannot influence each other, so the
-/// constraint graph splits into connected components (in practice one per
-/// function or loop region) that solveBoundsParallel solves concurrently on
-/// a TaskPool, each component running the same worklist kernel over its own
-/// disjoint slice of the bound vectors. Because a component's local FIFO is
-/// exactly the global FIFO restricted to it, the parallel solver reproduces
-/// the worklist's bounds *and* its Evaluations count on converging systems
-/// (tests/estimate/SolverParallelTest.cpp).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef OLPP_ESTIMATE_INTERVALSOLVER_H
@@ -96,31 +86,12 @@ BoundsResult solveBoundsSweep(uint32_t NumCells,
                               const std::vector<SumConstraint> &Constraints,
                               uint32_t MaxIterations = 100);
 
-class TaskPool;
-
-/// The parallel solver: partitions the constraints into connected
-/// components of the constraint graph (union-find over shared cells) and
-/// runs the worklist kernel on each component concurrently via \p Pool
-/// (null selects TaskPool::shared()). Components touch disjoint cells, so
-/// no synchronization is needed on the bound vectors. Each component gets
-/// the proportional budget MaxIterations * (its constraint count); the
-/// budgets sum to the worklist's global budget.
-BoundsResult solveBoundsParallel(uint32_t NumCells,
-                                 const std::vector<SumConstraint> &Constraints,
-                                 uint32_t MaxIterations = 100,
-                                 TaskPool *Pool = nullptr);
-
 /// Which implementation solveBounds forwards to on the calling thread.
 /// Thread-local so a parallel bench can steer one worker's estimation stack
 /// onto the sweep oracle without racing the others.
-enum class SolverImpl : uint8_t { Worklist, Sweep, Parallel };
+enum class SolverImpl : uint8_t { Worklist, Sweep };
 void setThreadSolverImpl(SolverImpl Impl);
 SolverImpl threadSolverImpl();
-
-/// The pool solveBounds hands to solveBoundsParallel on this thread when
-/// the thread's impl is SolverImpl::Parallel; null means TaskPool::shared().
-void setThreadSolverPool(TaskPool *Pool);
-TaskPool *threadSolverPool();
 
 } // namespace olpp
 

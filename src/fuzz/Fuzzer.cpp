@@ -775,26 +775,17 @@ DifferentialRunner::checkProgram(const std::string &Source,
     };
     MW = metrics(SolverImpl::Worklist);
     EstimateMetrics MS = metrics(SolverImpl::Sweep);
-    EstimateMetrics MP = metrics(SolverImpl::Parallel);
-    auto Differs = [](const EstimateMetrics &A, const EstimateMetrics &B) {
-      return A.Definite != B.Definite || A.Potential != B.Potential ||
-             A.Real != B.Real || A.Pairs != B.Pairs ||
-             A.ExactPairs != B.ExactPairs ||
-             A.SoundnessViolated != B.SoundnessViolated;
-    };
-    auto DiffText = [](const char *Pair, const EstimateMetrics &A,
-                       const EstimateMetrics &B) {
-      return std::string(Pair) + ": definite " + std::to_string(A.Definite) +
-             "/" + std::to_string(B.Definite) + ", potential " +
-             std::to_string(A.Potential) + "/" + std::to_string(B.Potential) +
-             ", exact pairs " + std::to_string(A.ExactPairs) + "/" +
-             std::to_string(B.ExactPairs);
-    };
-    if (Differs(MW, MS))
-      return Fail(FuzzOracle::SolverDiff, DiffText("worklist vs sweep", MW, MS));
-    if (Differs(MW, MP))
+    if (MW.Definite != MS.Definite || MW.Potential != MS.Potential ||
+        MW.Real != MS.Real || MW.Pairs != MS.Pairs ||
+        MW.ExactPairs != MS.ExactPairs ||
+        MW.SoundnessViolated != MS.SoundnessViolated)
       return Fail(FuzzOracle::SolverDiff,
-                  DiffText("worklist vs parallel", MW, MP));
+                  "worklist vs sweep: definite " + std::to_string(MW.Definite) +
+                      "/" + std::to_string(MS.Definite) + ", potential " +
+                      std::to_string(MW.Potential) + "/" +
+                      std::to_string(MS.Potential) + ", exact pairs " +
+                      std::to_string(MW.ExactPairs) + "/" +
+                      std::to_string(MS.ExactPairs));
     if (MW.SoundnessViolated)
       return Fail(FuzzOracle::Bounds, "per-path soundness violated");
     if (MW.Definite > MW.Real || MW.Real > MW.Potential)

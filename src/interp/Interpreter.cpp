@@ -332,10 +332,9 @@ RunResult Interpreter::runFast(const Function &Entry,
   // traces recorded under a different threshold, link threshold or
   // optimizer configuration (or with tracing disabled) live in sibling
   // caches of the shared plan and stay invisible to this run.
-  const TraceSettings TSettings{
-      TraceThreshold, Config.TraceLinkThreshold,
-      Config.EnableTraceOpt ? Config.TraceOptStages : 0u,
-      Config.TraceOptDropGuardFault, Config.TraceDWEGate};
+  const TraceSettings TSettings{TraceThreshold, Config.TraceLinkThreshold,
+                                Config.EnableTraceOpt,
+                                Config.TraceOptDropGuardFault};
   PlanTraceCache *const TC =
       (Config.EnableTraces && Prof && !Trace && P.Traces != nullptr)
           ? P.Traces->forSettings(TSettings)
@@ -1911,32 +1910,11 @@ TraceCheck: {
       const bool IsBridge = Rec.bridge();
       auto T = compileTrace(P, Rec);
       const uint32_t AF = Rec.anchorFunc(), APc = Rec.anchorPc();
-      if (T && (TSettings.OptStages != 0 || TSettings.FaultDropGuard)) {
-        optimizeTrace(*T, {TSettings.OptStages, TSettings.FaultDropGuard});
-        // Deopt-rate DWE gate (RunConfig::TraceDWEGate): when the
-        // optimized root carries cyclic Wrap recovery windows, pre-compile
-        // the same recording with the DWE stage masked off so the cache
-        // can swap it in the moment the observed deopt rate proves the
-        // recovery replay a net loss. Compiled now because the recording
-        // is gone after Rec.clear().
-        if (!IsBridge && TSettings.DWEGate &&
-            (TSettings.OptStages & kTraceOptDWE)) {
-          bool Wrap = false;
-          for (const TraceRecovery &R : T->Recov)
-            Wrap |= R.Wrap;
-          if (Wrap) {
-            if (auto Alt = compileTrace(P, Rec)) {
-              optimizeTrace(*Alt, {TSettings.OptStages & ~kTraceOptDWE,
-                                   TSettings.FaultDropGuard});
-              T->HasWrapDWE = true;
-              T->NoDWEAlt = std::move(Alt);
-            }
-          }
-        }
-      }
+      if (T && TSettings.Optimize)
+        optimizeTrace(*T, TSettings.FaultDropGuard);
       Rec.clear();
       if (T && Config.TraceFacts && !traceBumpsFeasible(*T, *Config.TraceFacts))
-        T.reset(); // optimizer/compiler bug: reject like a failed compile
+        T.reset(); // compiler bug: reject like a failed compile
       if (IsBridge) {
         if (T && TC->installBridge(*BrParent, BrStep, std::move(T))) {
           ++TStats.Bridges;
@@ -1966,15 +1944,7 @@ TraceLookup:
                   Steps,    Base,     PCostSum,
                   Blocks,   Calls,    TStats};
     IO.LinkThreshold = Config.TraceLinkThreshold;
-    IO.DWEGate = Config.TraceDWEGate;
     runCompiledTrace(*CT, IO);
-    if (IO.DWETripped) {
-      // The deopt rate crossed the gate: republish the anchor with the
-      // no-DWE alternate. On a lost race this is a no-op and the winner's
-      // swap (or retirement) already took effect.
-      if (TC->swapNoDWE(*IO.DWETripped))
-        ++TStats.DWEGated;
-    }
     if (IO.BridgeParent) {
       // The executor saw a side exit cross the link threshold: record a
       // bridge from the exact resume point (the frame state right now *is*

@@ -71,20 +71,13 @@ struct RunConfig {
   /// (0 = record on the first completion).
   uint32_t TraceThreshold = 32;
 
-  /// Trace-local optimizer (interp/TraceOpt.h). EnableTraceOpt off means
-  /// compiled traces run verbatim (the honest A/B baseline for
-  /// --no-trace-opt); TraceOptStages selects individual stages for
-  /// per-stage experiments.
+  /// Trace-local optimizer: guard pass budgets (interp/TraceOpt.h).
+  /// EnableTraceOpt off means compiled traces check every guard on every
+  /// pass (the honest A/B baseline for --no-trace-opt).
   bool EnableTraceOpt = true;
-  uint32_t TraceOptStages = 0x1Fu; // kTraceOptAll
   /// Side-exit deopts at one guard before a bridge trace is recorded and
   /// stitched in (0 = linking off).
   uint32_t TraceLinkThreshold = 8;
-  /// Deopts per 100 trace enters above which a root trace that carries
-  /// wrap-recovery dead-write elimination is retired and recompiled with
-  /// that stage disabled — the recovery replay on every deopt can cost
-  /// more than the eliminated writes save (0 = never gate).
-  uint32_t TraceDWEGate = 100;
   /// Fuzz-only planted optimizer bug (FaultKind::DropTraceGuard).
   bool TraceOptDropGuardFault = false;
   /// Optional static path-feasibility facts (profile/InfeasiblePaths via

@@ -10,1325 +10,6 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
-#include <unordered_map>
-
-namespace olpp {
-namespace {
-
-// Wraparound helpers, identical to the compiler/executor (TraceTier.cpp):
-// folding a step must produce the exact value the step would have.
-inline int64_t wrapAdd(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                              static_cast<uint64_t>(B));
-}
-inline int64_t wrapSub(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                              static_cast<uint64_t>(B));
-}
-inline int64_t wrapMul(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                              static_cast<uint64_t>(B));
-}
-inline int64_t wrapNeg(int64_t A) {
-  return static_cast<int64_t>(0 - static_cast<uint64_t>(A));
-}
-
-constexpr uint32_t kInf = std::numeric_limits<uint32_t>::max();
-
-//===----------------------------------------------------------------------===//
-// Forward value pass: copy propagation, constant folding, interval facts,
-// store-to-load forwarding, post-guard facts, guard elimination.
-//===----------------------------------------------------------------------===//
-
-/// What the pass knows about one register of one in-trace frame at the
-/// current position. A write replaces the whole record and bumps the
-/// register's version; facts learned from a passed guard refine the record
-/// in place (no version bump — the value did not change, so existing
-/// copies of it stay valid and see the refinement through resolution).
-struct RegInfo {
-  enum K : uint8_t { Unknown, Const, Copy } Kind = Unknown;
-  int64_t C = 0;       ///< Const
-  Reg Src = 0;         ///< Copy: the root register (never itself a Copy)
-  uint32_t SrcVer = 0; ///< Copy: Src's version when the copy was made
-  bool NonZero = false;
-  /// Value interval [Lo, Hi] (the trace-local mirror of the analysis
-  /// value-range domain; guards refine it, AddImm shifts it).
-  bool HasIv = false;
-  int64_t Lo = 0, Hi = 0;
-  /// Compare provenance: this register holds the 0/1 result of
-  /// (CmpOp CmpSrc, CmpImm); a guard on it refines CmpSrc's interval.
-  bool HasCmp = false;
-  TOp CmpOp = TOp::CmpEqImm;
-  Reg CmpSrc = 0;
-  uint32_t CmpSrcVer = 0;
-  int64_t CmpImm = 0;
-};
-
-inline RegInfo makeConst(int64_t V) {
-  RegInfo I;
-  I.Kind = RegInfo::Const;
-  I.C = V;
-  I.NonZero = V != 0;
-  I.HasIv = true;
-  I.Lo = I.Hi = V;
-  return I;
-}
-
-/// One in-trace frame's value state. Callee frames start zero-initialized
-/// (the pooled register stack grows by value-initialization), so their
-/// default lattice is Const 0; the anchor frame's is Unknown.
-struct FrameVal {
-  bool ZeroInit = false;
-  Reg RetDst = NoReg; ///< caller register a Ret from this frame writes
-  std::vector<RegInfo> Info;
-  std::vector<uint32_t> Ver;
-
-  void grow(Reg R) {
-    if (R < Info.size())
-      return;
-    const size_t N = static_cast<size_t>(R) + 1;
-    if (ZeroInit)
-      Info.resize(N, makeConst(0));
-    else
-      Info.resize(N);
-    Ver.resize(N, 0);
-  }
-  RegInfo &at(Reg R) {
-    grow(R);
-    return Info[R];
-  }
-  uint32_t ver(Reg R) {
-    grow(R);
-    return Ver[R];
-  }
-  void write(Reg R, const RegInfo &I) {
-    grow(R);
-    ++Ver[R];
-    Info[R] = I;
-  }
-};
-
-/// Resolution of one source register: a constant, or a canonical root
-/// register (the register itself when it is not a valid copy).
-struct Resolved {
-  bool IsConst = false;
-  int64_t C = 0;
-  Reg Root = 0;
-};
-
-/// What the pass remembers about one global's scalar slot.
-struct GVal {
-  bool IsConst = false;
-  int64_t C = 0;
-  Reg R = 0;
-  uint32_t Ver = 0;
-  uint32_t Depth = 0;
-};
-
-class ValuePass {
-public:
-  ValuePass(CompiledTrace &T, bool DoFold, bool DoGuard,
-            std::vector<uint8_t> &Removed, TraceOptStats &St)
-      : T(T), DoFold(DoFold), DoGuard(DoGuard), Removed(Removed), St(St) {}
-
-  void run() {
-    Fs.clear();
-    Fs.emplace_back(); // the anchor frame: everything Unknown
-    for (size_t I = 0; I < T.Steps.size(); ++I)
-      process(I);
-  }
-
-private:
-  CompiledTrace &T;
-  const bool DoFold;
-  const bool DoGuard;
-  std::vector<uint8_t> &Removed;
-  TraceOptStats &St;
-  std::vector<FrameVal> Fs;
-  std::unordered_map<uint32_t, GVal> GMap;
-
-  FrameVal &cur() { return Fs.back(); }
-
-  Resolved resolve(Reg R) {
-    FrameVal &F = cur();
-    Resolved O;
-    O.Root = R;
-    RegInfo &I = F.at(R);
-    if (I.Kind == RegInfo::Const) {
-      O.IsConst = true;
-      O.C = I.C;
-      return O;
-    }
-    if (I.Kind == RegInfo::Copy && F.ver(I.Src) == I.SrcVer) {
-      RegInfo &RI = F.at(I.Src);
-      if (RI.Kind == RegInfo::Const) {
-        O.IsConst = true;
-        O.C = RI.C;
-        return O;
-      }
-      O.Root = I.Src;
-    }
-    return O;
-  }
-
-  /// Substitutes a source register by its canonical root (copy
-  /// propagation). Step mutation, so gated on the fold stage.
-  void subst(Reg &R) {
-    if (!DoFold)
-      return;
-    const Resolved V = resolve(R);
-    if (!V.IsConst && V.Root != R)
-      R = V.Root;
-  }
-
-  /// A passed guard proved register \p R holds \p V: refine R and, when R
-  /// is a live copy, its root (same value) — without a version bump.
-  void factConst(Reg R, int64_t V) {
-    FrameVal &F = cur();
-    RegInfo &I = F.at(R);
-    if (I.Kind == RegInfo::Copy && F.ver(I.Src) == I.SrcVer)
-      F.at(I.Src) = makeConst(V);
-    I = makeConst(V);
-  }
-
-  void factNonZero(Reg R) {
-    FrameVal &F = cur();
-    RegInfo &I = F.at(R);
-    if (I.Kind == RegInfo::Copy && F.ver(I.Src) == I.SrcVer)
-      F.at(I.Src).NonZero = true;
-    I.NonZero = true;
-  }
-
-  /// Interval verdict for (op Lo..Hi, Imm): 1 always true, 0 always
-  /// false, -1 undecidable.
-  static int decide(TOp Op, int64_t Lo, int64_t Hi, int64_t Imm) {
-    switch (Op) {
-    case TOp::CmpEqImm:
-      if (Lo == Hi && Lo == Imm)
-        return 1;
-      if (Imm < Lo || Imm > Hi)
-        return 0;
-      return -1;
-    case TOp::CmpNeImm: {
-      const int E = decide(TOp::CmpEqImm, Lo, Hi, Imm);
-      return E < 0 ? -1 : 1 - E;
-    }
-    case TOp::CmpLtImm:
-      if (Hi < Imm)
-        return 1;
-      if (Lo >= Imm)
-        return 0;
-      return -1;
-    case TOp::CmpLeImm:
-      if (Hi <= Imm)
-        return 1;
-      if (Lo > Imm)
-        return 0;
-      return -1;
-    case TOp::CmpGtImm:
-      if (Lo > Imm)
-        return 1;
-      if (Hi <= Imm)
-        return 0;
-      return -1;
-    case TOp::CmpGeImm:
-      if (Lo >= Imm)
-        return 1;
-      if (Hi < Imm)
-        return 0;
-      return -1;
-    default:
-      return -1;
-    }
-  }
-
-  /// A guard on compare-result \p I passed with outcome \p CondTrue:
-  /// refine the compared register's interval (version-checked).
-  void refineFromCmp(const RegInfo &I, bool CondTrue) {
-    if (!I.HasCmp)
-      return;
-    FrameVal &F = cur();
-    if (F.ver(I.CmpSrc) != I.CmpSrcVer)
-      return;
-    RegInfo &S = F.at(I.CmpSrc);
-    int64_t Lo = S.HasIv ? S.Lo : std::numeric_limits<int64_t>::min();
-    int64_t Hi = S.HasIv ? S.Hi : std::numeric_limits<int64_t>::max();
-    const int64_t Imm = I.CmpImm;
-    const int64_t IMin = std::numeric_limits<int64_t>::min();
-    const int64_t IMax = std::numeric_limits<int64_t>::max();
-    switch (I.CmpOp) {
-    case TOp::CmpEqImm:
-      if (CondTrue)
-        Lo = Hi = Imm;
-      break;
-    case TOp::CmpNeImm:
-      if (!CondTrue)
-        Lo = Hi = Imm;
-      break;
-    case TOp::CmpLtImm:
-      if (CondTrue) {
-        if (Imm == IMin)
-          return;
-        Hi = std::min(Hi, Imm - 1);
-      } else
-        Lo = std::max(Lo, Imm);
-      break;
-    case TOp::CmpLeImm:
-      if (CondTrue)
-        Hi = std::min(Hi, Imm);
-      else {
-        if (Imm == IMax)
-          return;
-        Lo = std::max(Lo, Imm + 1);
-      }
-      break;
-    case TOp::CmpGtImm:
-      if (CondTrue) {
-        if (Imm == IMax)
-          return;
-        Lo = std::max(Lo, Imm + 1);
-      } else
-        Hi = std::min(Hi, Imm);
-      break;
-    case TOp::CmpGeImm:
-      if (CondTrue)
-        Lo = std::max(Lo, Imm);
-      else {
-        if (Imm == IMin)
-          return;
-        Hi = std::min(Hi, Imm - 1);
-      }
-      break;
-    default:
-      return;
-    }
-    if (Lo > Hi)
-      return; // contradiction: the guard would have deopted; keep facts
-    S.HasIv = true;
-    S.Lo = Lo;
-    S.Hi = Hi;
-    if (Lo == Hi) {
-      S.Kind = RegInfo::Const;
-      S.C = Lo;
-    }
-    if (Lo > 0 || Hi < 0)
-      S.NonZero = true;
-  }
-
-  /// Rewrites step \p S into Const \p V and records the fold.
-  void toConst(TraceStep &S, int64_t V) {
-    if (DoFold) {
-      S.Op = TOp::Const;
-      S.Src0 = 0;
-      S.Src1 = 0;
-      S.Imm = V;
-      ++St.ConstsFolded;
-    }
-    cur().write(S.Dst, makeConst(V));
-  }
-
-  /// Rewrites step \p S into an Imm form (fold stage only) and writes an
-  /// Unknown (or provenance-carrying) result.
-  void toImm(TraceStep &S, TOp Op, Reg Src, int64_t Imm) {
-    S.Op = Op;
-    S.Src0 = Src;
-    S.Src1 = 0;
-    S.Imm = Imm;
-    ++St.ConstsFolded;
-  }
-
-  /// Result record of an Imm-form compare: [0,1] interval + provenance.
-  RegInfo cmpResult(TOp Op, Reg Src, int64_t Imm) {
-    RegInfo I;
-    I.HasIv = true;
-    I.Lo = 0;
-    I.Hi = 1;
-    I.HasCmp = true;
-    I.CmpOp = Op;
-    I.CmpSrc = Src;
-    I.CmpSrcVer = cur().ver(Src);
-    I.CmpImm = Imm;
-    return I;
-  }
-
-  /// Result record of AddImm: shifted interval when safe.
-  RegInfo addImmResult(Reg Src, int64_t Imm) {
-    RegInfo I;
-    const RegInfo &S = cur().at(Src);
-    if (S.HasIv) {
-      int64_t Lo, Hi;
-      if (!__builtin_add_overflow(S.Lo, Imm, &Lo) &&
-          !__builtin_add_overflow(S.Hi, Imm, &Hi)) {
-        I.HasIv = true;
-        I.Lo = Lo;
-        I.Hi = Hi;
-        if (Lo > 0 || Hi < 0)
-          I.NonZero = true;
-      }
-    }
-    return I;
-  }
-
-  /// Result record of AndImm: a non-negative mask bounds the result to
-  /// [0, mask] for any int64 input (the mask's clear sign bit clears the
-  /// result's).
-  static RegInfo andImmResult(int64_t Imm) {
-    RegInfo I;
-    if (Imm >= 0) {
-      I.HasIv = true;
-      I.Lo = 0;
-      I.Hi = Imm;
-    }
-    return I;
-  }
-
-  void removeStep(size_t I) {
-    Removed[I] = 1;
-    ++St.StepsRemoved;
-  }
-
-  void removeGuard(size_t I) {
-    Removed[I] = 1;
-    ++St.GuardsRemoved;
-  }
-
-  void process(size_t Idx);
-  void processBinary(size_t Idx);
-  void processGuard(size_t Idx);
-};
-
-/// Folds a two-const binary op; returns false for a folded-away fault
-/// candidate (Div/Mod fault: keep the step, the executor deopts there).
-bool foldBinary(TOp Op, int64_t A, int64_t B, int64_t &Out) {
-  switch (Op) {
-  case TOp::Add:
-    Out = wrapAdd(A, B);
-    return true;
-  case TOp::Sub:
-    Out = wrapSub(A, B);
-    return true;
-  case TOp::Mul:
-    Out = wrapMul(A, B);
-    return true;
-  case TOp::Div:
-    if (B == 0 || (A == std::numeric_limits<int64_t>::min() && B == -1))
-      return false;
-    Out = A / B;
-    return true;
-  case TOp::Mod:
-    if (B == 0 || (A == std::numeric_limits<int64_t>::min() && B == -1))
-      return false;
-    Out = A % B;
-    return true;
-  case TOp::And:
-    Out = A & B;
-    return true;
-  case TOp::Or:
-    Out = A | B;
-    return true;
-  case TOp::Xor:
-    Out = A ^ B;
-    return true;
-  case TOp::Shl:
-    Out = static_cast<int64_t>(static_cast<uint64_t>(A)
-                               << (static_cast<uint64_t>(B) & 63));
-    return true;
-  case TOp::Shr:
-    Out = A >> (static_cast<uint64_t>(B) & 63);
-    return true;
-  case TOp::CmpEq:
-    Out = A == B;
-    return true;
-  case TOp::CmpNe:
-    Out = A != B;
-    return true;
-  case TOp::CmpLt:
-    Out = A < B;
-    return true;
-  case TOp::CmpLe:
-    Out = A <= B;
-    return true;
-  case TOp::CmpGt:
-    Out = A > B;
-    return true;
-  case TOp::CmpGe:
-    Out = A >= B;
-    return true;
-  default:
-    return false;
-  }
-}
-
-/// The Imm compare op corresponding to a register-register compare.
-TOp immCmpOf(TOp Op) {
-  switch (Op) {
-  case TOp::CmpEq:
-    return TOp::CmpEqImm;
-  case TOp::CmpNe:
-    return TOp::CmpNeImm;
-  case TOp::CmpLt:
-    return TOp::CmpLtImm;
-  case TOp::CmpLe:
-    return TOp::CmpLeImm;
-  case TOp::CmpGt:
-    return TOp::CmpGtImm;
-  case TOp::CmpGe:
-    return TOp::CmpGeImm;
-  default:
-    return Op;
-  }
-}
-
-void ValuePass::processBinary(size_t Idx) {
-  TraceStep &S = T.Steps[Idx];
-  const Resolved A = resolve(S.Src0);
-  const Resolved B = resolve(S.Src1);
-  if (A.IsConst && B.IsConst) {
-    int64_t V;
-    if (foldBinary(S.Op, A.C, B.C, V)) {
-      toConst(S, V);
-      return;
-    }
-    // Const fault candidate (Div/Mod): the step stays and deopts.
-    cur().write(S.Dst, RegInfo());
-    return;
-  }
-  if (DoFold) {
-    // Mirror the compiler's Imm-form selection exactly (goldens depend on
-    // the shared shape; see TraceCompiler::doDataOp).
-    switch (S.Op) {
-    case TOp::Add:
-      if (B.IsConst) {
-        toImm(S, TOp::AddImm, A.Root, B.C);
-        cur().write(S.Dst, addImmResult(A.Root, B.C));
-        return;
-      }
-      if (A.IsConst) {
-        toImm(S, TOp::AddImm, B.Root, A.C);
-        cur().write(S.Dst, addImmResult(B.Root, A.C));
-        return;
-      }
-      break;
-    case TOp::Sub:
-      if (B.IsConst) {
-        toImm(S, TOp::AddImm, A.Root, wrapNeg(B.C));
-        cur().write(S.Dst, addImmResult(A.Root, wrapNeg(B.C)));
-        return;
-      }
-      break;
-    case TOp::And:
-      if (B.IsConst) {
-        toImm(S, TOp::AndImm, A.Root, B.C);
-        cur().write(S.Dst, andImmResult(B.C));
-        return;
-      }
-      if (A.IsConst) {
-        toImm(S, TOp::AndImm, B.Root, A.C);
-        cur().write(S.Dst, andImmResult(A.C));
-        return;
-      }
-      break;
-    case TOp::CmpEq:
-    case TOp::CmpNe:
-    case TOp::CmpLt:
-    case TOp::CmpLe:
-    case TOp::CmpGt:
-    case TOp::CmpGe:
-      if (B.IsConst) {
-        const TOp IOp = immCmpOf(S.Op);
-        toImm(S, IOp, A.Root, B.C);
-        cur().write(S.Dst, cmpResult(IOp, A.Root, B.C));
-        return;
-      }
-      break;
-    default:
-      break;
-    }
-  }
-  subst(S.Src0);
-  subst(S.Src1);
-  cur().write(S.Dst, RegInfo());
-}
-
-void ValuePass::processGuard(size_t Idx) {
-  TraceStep &S = T.Steps[Idx];
-  const Resolved C = resolve(S.Src0);
-  switch (S.Op) {
-  case TOp::GuardTrue: {
-    if (C.IsConst) {
-      if (C.C != 0 && DoGuard)
-        removeGuard(Idx); // proven: always passes
-      return;             // const-false: always-deopt guard, keep
-    }
-    RegInfo &I = cur().at(C.Root);
-    if (I.NonZero) {
-      if (DoGuard)
-        removeGuard(Idx);
-      refineFromCmp(I, true);
-      return;
-    }
-    subst(S.Src0);
-    // Survived: the condition was nonzero.
-    refineFromCmp(cur().at(S.Src0), true);
-    factNonZero(S.Src0);
-    return;
-  }
-  case TOp::GuardFalse: {
-    if (C.IsConst) {
-      if (C.C == 0 && DoGuard)
-        removeGuard(Idx);
-      return;
-    }
-    subst(S.Src0);
-    refineFromCmp(cur().at(S.Src0), false);
-    factConst(S.Src0, 0);
-    return;
-  }
-  case TOp::GuardCallee: {
-    if (C.IsConst) {
-      if (C.C == static_cast<int64_t>(S.Aux) && DoGuard)
-        removeGuard(Idx);
-      return;
-    }
-    subst(S.Src0);
-    factConst(S.Src0, static_cast<int64_t>(S.Aux));
-    return;
-  }
-  default:
-    return;
-  }
-}
-
-void ValuePass::process(size_t Idx) {
-  TraceStep &S = T.Steps[Idx];
-  switch (S.Op) {
-  case TOp::Const:
-    cur().write(S.Dst, makeConst(S.Imm));
-    return;
-  case TOp::Move: {
-    const Resolved V = resolve(S.Src0);
-    if (V.IsConst) {
-      toConst(S, V.C);
-      return;
-    }
-    subst(S.Src0);
-    if (DoFold && S.Src0 == S.Dst) {
-      // Copy propagation reduced the move to Dst = Dst: the register
-      // already holds the value, so the step (and any recovery) is moot.
-      removeStep(Idx);
-      return;
-    }
-    RegInfo I;
-    I.Kind = RegInfo::Copy;
-    I.Src = S.Src0;
-    I.SrcVer = cur().ver(S.Src0);
-    cur().write(S.Dst, I);
-    return;
-  }
-  case TOp::Add:
-  case TOp::Sub:
-  case TOp::Mul:
-  case TOp::Div:
-  case TOp::Mod:
-  case TOp::And:
-  case TOp::Or:
-  case TOp::Xor:
-  case TOp::Shl:
-  case TOp::Shr:
-  case TOp::CmpEq:
-  case TOp::CmpNe:
-  case TOp::CmpLt:
-  case TOp::CmpLe:
-  case TOp::CmpGt:
-  case TOp::CmpGe:
-    processBinary(Idx);
-    return;
-  case TOp::AddImm: {
-    const Resolved A = resolve(S.Src0);
-    if (A.IsConst) {
-      toConst(S, wrapAdd(A.C, S.Imm));
-      return;
-    }
-    subst(S.Src0);
-    cur().write(S.Dst, addImmResult(S.Src0, S.Imm));
-    return;
-  }
-  case TOp::AndImm: {
-    const Resolved A = resolve(S.Src0);
-    if (A.IsConst) {
-      toConst(S, A.C & S.Imm);
-      return;
-    }
-    subst(S.Src0);
-    cur().write(S.Dst, andImmResult(S.Imm));
-    return;
-  }
-  case TOp::CmpEqImm:
-  case TOp::CmpNeImm:
-  case TOp::CmpLtImm:
-  case TOp::CmpLeImm:
-  case TOp::CmpGtImm:
-  case TOp::CmpGeImm: {
-    const Resolved A = resolve(S.Src0);
-    if (A.IsConst) {
-      int64_t V = 0;
-      switch (S.Op) {
-      case TOp::CmpEqImm:
-        V = A.C == S.Imm;
-        break;
-      case TOp::CmpNeImm:
-        V = A.C != S.Imm;
-        break;
-      case TOp::CmpLtImm:
-        V = A.C < S.Imm;
-        break;
-      case TOp::CmpLeImm:
-        V = A.C <= S.Imm;
-        break;
-      case TOp::CmpGtImm:
-        V = A.C > S.Imm;
-        break;
-      default:
-        V = A.C >= S.Imm;
-        break;
-      }
-      toConst(S, V);
-      return;
-    }
-    subst(S.Src0);
-    const RegInfo &Sr = cur().at(S.Src0);
-    if (Sr.HasIv) {
-      const int D = decide(S.Op, Sr.Lo, Sr.Hi, S.Imm);
-      if (D >= 0) {
-        toConst(S, D);
-        return;
-      }
-    }
-    cur().write(S.Dst, cmpResult(S.Op, S.Src0, S.Imm));
-    return;
-  }
-  case TOp::Neg: {
-    const Resolved A = resolve(S.Src0);
-    if (A.IsConst) {
-      toConst(S, wrapNeg(A.C));
-      return;
-    }
-    subst(S.Src0);
-    cur().write(S.Dst, RegInfo());
-    return;
-  }
-  case TOp::Not: {
-    const Resolved A = resolve(S.Src0);
-    if (A.IsConst) {
-      toConst(S, A.C == 0 ? 1 : 0);
-      return;
-    }
-    subst(S.Src0);
-    cur().write(S.Dst, RegInfo());
-    return;
-  }
-  case TOp::LoadG: {
-    auto It = GMap.find(S.Aux);
-    if (It != GMap.end()) {
-      const GVal &G = It->second;
-      if (G.IsConst) {
-        toConst(S, G.C);
-        return;
-      }
-      if (G.Depth == Fs.size() - 1 && cur().ver(G.R) == G.Ver && DoFold) {
-        if (G.R == S.Dst) {
-          // The destination already holds the global's value.
-          removeStep(Idx);
-          return;
-        }
-        S.Op = TOp::Move;
-        S.Src0 = G.R;
-        ++St.ConstsFolded;
-        RegInfo I;
-        I.Kind = RegInfo::Copy;
-        I.Src = G.R;
-        I.SrcVer = G.Ver;
-        cur().write(S.Dst, I);
-        return;
-      }
-    }
-    cur().write(S.Dst, RegInfo());
-    return;
-  }
-  case TOp::StoreG: {
-    const Resolved V = resolve(S.Src0);
-    subst(S.Src0);
-    GVal G;
-    if (V.IsConst) {
-      G.IsConst = true;
-      G.C = V.C;
-    } else {
-      G.R = V.Root;
-      G.Ver = cur().ver(V.Root);
-      G.Depth = static_cast<uint32_t>(Fs.size() - 1);
-    }
-    GMap[S.Aux] = G;
-    return;
-  }
-  case TOp::LoadArr:
-    subst(S.Src0);
-    cur().write(S.Dst, RegInfo());
-    return;
-  case TOp::StoreArr:
-    subst(S.Src0);
-    subst(S.Src1);
-    GMap.erase(S.Aux); // index 0 aliases the scalar slot
-    return;
-  case TOp::GuardTrue:
-  case TOp::GuardFalse:
-  case TOp::GuardCallee:
-    processGuard(Idx);
-    return;
-  case TOp::Call: {
-    FrameVal NF;
-    NF.ZeroInit = true;
-    NF.RetDst = S.Dst;
-    NF.Info.reserve(S.ArgsCount);
-    for (uint32_t A = 0; A < S.ArgsCount; ++A) {
-      const Resolved V = resolve(S.Args[A]);
-      NF.Info.push_back(V.IsConst ? makeConst(V.C) : RegInfo());
-      NF.Ver.push_back(0);
-    }
-    Fs.push_back(std::move(NF));
-    return;
-  }
-  case TOp::Ret: {
-    Resolved V;
-    bool HasV = false;
-    if (S.Src0 != NoReg) {
-      V = resolve(S.Src0);
-      subst(S.Src0);
-      HasV = true;
-    }
-    // Globals forwarded from this frame's registers die with the frame.
-    const uint32_t D = static_cast<uint32_t>(Fs.size() - 1);
-    for (auto It = GMap.begin(); It != GMap.end();) {
-      if (!It->second.IsConst && It->second.Depth == D)
-        It = GMap.erase(It);
-      else
-        ++It;
-    }
-    const Reg RetDst = cur().RetDst;
-    Fs.pop_back();
-    if (RetDst != NoReg)
-      cur().write(RetDst, HasV && V.IsConst ? makeConst(V.C) : RegInfo());
-    return;
-  }
-  }
-}
-
-} // namespace
-} // namespace olpp
-
-//===----------------------------------------------------------------------===//
-// Dead-write elimination, the fault stage, and compaction
-//===----------------------------------------------------------------------===//
-
-namespace olpp {
-namespace {
-
-/// Anchor-frame register reads/writes of one step executing at depth 0.
-struct StepRW {
-  Reg W = NoReg;
-  Reg R0 = NoReg, R1 = NoReg;
-  const Reg *Args = nullptr;
-  uint32_t NArgs = 0;
-};
-
-StepRW stepRW(const TraceStep &S) {
-  StepRW O;
-  switch (S.Op) {
-  case TOp::Const:
-    O.W = S.Dst;
-    break;
-  case TOp::Move:
-  case TOp::Neg:
-  case TOp::Not:
-  case TOp::AddImm:
-  case TOp::AndImm:
-  case TOp::CmpEqImm:
-  case TOp::CmpNeImm:
-  case TOp::CmpLtImm:
-  case TOp::CmpLeImm:
-  case TOp::CmpGtImm:
-  case TOp::CmpGeImm:
-    O.W = S.Dst;
-    O.R0 = S.Src0;
-    break;
-  case TOp::Add:
-  case TOp::Sub:
-  case TOp::Mul:
-  case TOp::Div:
-  case TOp::Mod:
-  case TOp::And:
-  case TOp::Or:
-  case TOp::Xor:
-  case TOp::Shl:
-  case TOp::Shr:
-  case TOp::CmpEq:
-  case TOp::CmpNe:
-  case TOp::CmpLt:
-  case TOp::CmpLe:
-  case TOp::CmpGt:
-  case TOp::CmpGe:
-    O.W = S.Dst;
-    O.R0 = S.Src0;
-    O.R1 = S.Src1;
-    break;
-  case TOp::LoadG:
-    O.W = S.Dst;
-    break;
-  case TOp::StoreG:
-    O.R0 = S.Src0;
-    break;
-  case TOp::LoadArr:
-    O.W = S.Dst;
-    O.R0 = S.Src0;
-    break;
-  case TOp::StoreArr:
-    O.R0 = S.Src0;
-    O.R1 = S.Src1;
-    break;
-  case TOp::GuardTrue:
-  case TOp::GuardFalse:
-  case TOp::GuardCallee:
-    O.R0 = S.Src0;
-    break;
-  case TOp::Call:
-    O.Args = S.Args;
-    O.NArgs = S.ArgsCount;
-    break;
-  case TOp::Ret:
-    break; // reads a callee register; the anchor write is RetW
-  }
-  return O;
-}
-
-/// Backward liveness over the anchor frame: a Const/Move whose result a
-/// later surviving write kills before any surviving read is removed, with
-/// a TraceRecovery window so a deopt inside the window still materializes
-/// it. The window end is the killing write (the re-executed base
-/// instruction there may read the register even when the rewritten trace
-/// step does not); removed writes still update next-write so supersession
-/// chains stay correct. Windows are *linear* but traces loop: a tail
-/// write (no later write this pass) flows into the next pass's reads, so
-/// the linear scan never removes it — the cyclic pass below handles the
-/// whole-pass-dead case instead.
-void deadWriteElim(CompiledTrace &T, std::vector<uint8_t> &Removed,
-                   std::vector<TraceRecovery> &Pend, TraceOptStats &St) {
-  const size_t N = T.Steps.size();
-  if (N == 0)
-    return;
-  std::vector<uint16_t> Depth(N, 0);
-  std::vector<Reg> RetW(N, NoReg);
-  {
-    std::vector<Reg> CallDst;
-    uint16_t D = 0;
-    for (size_t I = 0; I < N; ++I) {
-      Depth[I] = D;
-      const TraceStep &S = T.Steps[I];
-      if (S.Op == TOp::Call) {
-        CallDst.push_back(S.Dst);
-        ++D;
-      } else if (S.Op == TOp::Ret) {
-        if (D == 1)
-          RetW[I] = CallDst.back();
-        CallDst.pop_back();
-        --D;
-      }
-    }
-  }
-
-  Reg MaxR = 0;
-  bool Any = false;
-  auto seen = [&](Reg R) {
-    if (R != NoReg) {
-      Any = true;
-      MaxR = std::max(MaxR, R);
-    }
-  };
-  for (size_t I = 0; I < N; ++I) {
-    if (RetW[I] != NoReg)
-      seen(RetW[I]);
-    if (Depth[I] != 0 || T.Steps[I].Op == TOp::Ret)
-      continue;
-    const StepRW RW = stepRW(T.Steps[I]);
-    seen(RW.W);
-    seen(RW.R0);
-    seen(RW.R1);
-    for (uint32_t A = 0; A < RW.NArgs; ++A)
-      seen(RW.Args[A]);
-  }
-  if (!Any)
-    return;
-
-  std::vector<uint32_t> NR(MaxR + 1, kInf), NW(MaxR + 1, kInf);
-  for (size_t Ii = N; Ii-- > 0;) {
-    const uint32_t I = static_cast<uint32_t>(Ii);
-    const TraceStep &S = T.Steps[Ii];
-    if (S.Op == TOp::Ret) {
-      if (RetW[Ii] != NoReg)
-        NW[RetW[Ii]] = I;
-      continue;
-    }
-    if (Depth[Ii] != 0)
-      continue;
-    if (Removed[Ii]) {
-      // A fold-removed no-op move still pins its source: a deopt at this
-      // index re-executes the base move, which reads it.
-      if (S.Op == TOp::Move)
-        NR[S.Src0] = I;
-      continue;
-    }
-    if (S.Op == TOp::Const || S.Op == TOp::Move) {
-      const Reg D = S.Dst;
-      const uint32_t W = NW[D];
-      bool Ok = W != kInf && (NR[D] == kInf || NR[D] > W);
-      if (Ok && S.Op == TOp::Move)
-        Ok = S.Src0 != D && NW[S.Src0] > W; // source stable over the window
-      if (Ok) {
-        Removed[Ii] = 1;
-        ++St.StepsRemoved;
-        TraceRecovery R;
-        R.Begin = I + 1; // pre-compaction indices; remapped in compact()
-        R.End = W;
-        R.R = D;
-        R.Copy = S.Op == TOp::Move;
-        R.Src = S.Src0;
-        R.V = S.Imm;
-        Pend.push_back(R);
-        NW[D] = I; // recovery re-creates the write at deopt time
-        continue;
-      }
-    }
-    const StepRW RW = stepRW(S);
-    if (RW.W != NoReg)
-      NW[RW.W] = I;
-    if (RW.R0 != NoReg)
-      NR[RW.R0] = I;
-    if (RW.R1 != NoReg)
-      NR[RW.R1] = I;
-    for (uint32_t A = 0; A < RW.NArgs; ++A)
-      NR[RW.Args[A]] = I;
-  }
-
-  // Cyclic pass: a register's only write (typically a Const the fold
-  // stage orphaned) survives the linear scan because its value wraps
-  // around into the next pass — but when *no surviving step reads the
-  // register at all*, the wrapped value is dead at runtime too; only the
-  // base program, reached via deopt or exit, may read it. Two recovery
-  // entries reconstruct base state: a linear window [i+1, end] (the write
-  // executed earlier in this pass) and a Wrap window [0, i] (the value is
-  // the previous pass's; the executor gates it on a completed pass and
-  // re-applies it on clean exits). Const values materialize directly; a
-  // Move qualifies only when its source is never written, i.e. it copies
-  // the loop-invariant entry value. Counts are taken once up front, so
-  // every removal decision is conservative against the pre-pass state.
-  std::vector<uint32_t> Writes(MaxR + 1, 0), Reads(MaxR + 1, 0);
-  for (size_t I = 0; I < N; ++I) {
-    const TraceStep &S = T.Steps[I];
-    if (S.Op == TOp::Ret) {
-      if (RetW[I] != NoReg)
-        ++Writes[RetW[I]];
-      continue;
-    }
-    if (Depth[I] != 0 || Removed[I])
-      continue;
-    const StepRW RW = stepRW(S);
-    if (RW.W != NoReg)
-      ++Writes[RW.W];
-    if (RW.R0 != NoReg)
-      ++Reads[RW.R0];
-    if (RW.R1 != NoReg)
-      ++Reads[RW.R1];
-    for (uint32_t A = 0; A < RW.NArgs; ++A)
-      ++Reads[RW.Args[A]];
-  }
-  for (size_t I = 0; I < N; ++I) {
-    const TraceStep &S = T.Steps[I];
-    if (Depth[I] != 0 || Removed[I])
-      continue;
-    if (S.Op != TOp::Const && S.Op != TOp::Move)
-      continue;
-    const Reg D = S.Dst;
-    if (Writes[D] != 1 || Reads[D] != 0)
-      continue;
-    if (S.Op == TOp::Move && (S.Src0 == D || Writes[S.Src0] != 0))
-      continue;
-    Removed[I] = 1;
-    ++St.StepsRemoved;
-    TraceRecovery R;
-    R.R = D;
-    R.Copy = S.Op == TOp::Move;
-    R.Src = S.Src0;
-    R.V = S.Imm;
-    R.Begin = static_cast<uint32_t>(I) + 1;
-    R.End = static_cast<uint32_t>(N) - 1;
-    Pend.push_back(R);
-    R.Begin = 0;
-    R.End = static_cast<uint32_t>(I);
-    R.Wrap = true;
-    Pend.push_back(R);
-  }
-}
-
-/// Fuzz-only planted bug (FaultKind::DropTraceGuard): delete the last
-/// surviving branch guard regardless of provability. The differential
-/// trace oracle must observe the divergence.
-void dropLastBranchGuard(CompiledTrace &T, std::vector<uint8_t> &Removed) {
-  for (size_t I = T.Steps.size(); I-- > 0;) {
-    const TOp Op = T.Steps[I].Op;
-    if ((Op == TOp::GuardTrue || Op == TOp::GuardFalse) && !Removed[I]) {
-      Removed[I] = 1;
-      return;
-    }
-  }
-}
-
-/// Erases removed steps (with their metas) and remaps the pending
-/// recovery windows into post-compaction indices. Accounting prefixes of
-/// the survivors are untouched: a removed step's cost stays charged
-/// exactly as the compiler's ghost steps do.
-void compact(CompiledTrace &T, const std::vector<uint8_t> &Removed,
-             std::vector<TraceRecovery> &Pend) {
-  const size_t N = T.Steps.size();
-  std::vector<uint32_t> Survivors;
-  Survivors.reserve(N);
-  for (size_t I = 0; I < N; ++I)
-    if (!Removed[I])
-      Survivors.push_back(static_cast<uint32_t>(I));
-  if (Survivors.size() != N) {
-    std::vector<TraceStep> NS;
-    std::vector<TraceStepMeta> NM;
-    NS.reserve(Survivors.size());
-    NM.reserve(Survivors.size());
-    for (uint32_t I : Survivors) {
-      NS.push_back(T.Steps[I]);
-      NM.push_back(T.Meta[I]);
-    }
-    T.Steps = std::move(NS);
-    T.Meta = std::move(NM);
-  }
-  if (Pend.empty())
-    return;
-  // Built backward: restore ascending step order so that, after the
-  // stable sort by Begin, later removed writes to the same register are
-  // applied later (they overwrite).
-  std::reverse(Pend.begin(), Pend.end());
-  std::vector<TraceRecovery> Out;
-  Out.reserve(Pend.size());
-  for (const TraceRecovery &P : Pend) {
-    TraceRecovery R = P;
-    auto B = std::lower_bound(Survivors.begin(), Survivors.end(), P.Begin);
-    auto E = std::upper_bound(Survivors.begin(), Survivors.end(), P.End);
-    const bool Empty = B == Survivors.end() || E == Survivors.begin() ||
-                       B - Survivors.begin() > (E - 1) - Survivors.begin();
-    if (Empty) {
-      if (!P.Wrap)
-        continue; // deopt-only window with no surviving deopt point
-      // Wrap entries outlive their window: the clean-exit materialization
-      // reads them regardless. Encode "no deopt point" as Begin > End.
-      R.Begin = 1;
-      R.End = 0;
-    } else {
-      R.Begin = static_cast<uint32_t>(B - Survivors.begin());
-      R.End = static_cast<uint32_t>((E - 1) - Survivors.begin());
-    }
-    Out.push_back(R);
-  }
-  std::stable_sort(Out.begin(), Out.end(),
-                   [](const TraceRecovery &A, const TraceRecovery &B) {
-                     return A.Begin < B.Begin;
-                   });
-  T.Recov = std::move(Out);
-}
-
-//===----------------------------------------------------------------------===//
-// Effect coalescing
-//===----------------------------------------------------------------------===//
-
-/// Maps an effect kind onto its abstract component (16 scalar components;
-/// shadow/pending ops are ordered stack traffic and never merge).
-bool effectComp(EffectKind K, int &Comp, bool &IsAdd) {
-  IsAdd = false;
-  switch (K) {
-  case EffectKind::SetR:
-    Comp = 0;
-    return true;
-  case EffectKind::AddR:
-    Comp = 0;
-    IsAdd = true;
-    return true;
-  case EffectKind::SetRI:
-    Comp = 1;
-    return true;
-  case EffectKind::AddRI:
-    Comp = 1;
-    IsAdd = true;
-    return true;
-  case EffectKind::SetOlI:
-    Comp = 2;
-    return true;
-  case EffectKind::AddOlI:
-    Comp = 2;
-    IsAdd = true;
-    return true;
-  case EffectKind::SetCallerPre:
-    Comp = 3;
-    return true;
-  case EffectKind::SetCallSiteI:
-    Comp = 4;
-    return true;
-  case EffectKind::SetActiveI:
-    Comp = 5;
-    return true;
-  case EffectKind::SetHaveCaller:
-    Comp = 6;
-    return true;
-  case EffectKind::SetRoII:
-    Comp = 7;
-    return true;
-  case EffectKind::AddRoII:
-    Comp = 7;
-    IsAdd = true;
-    return true;
-  case EffectKind::SetOlII:
-    Comp = 8;
-    return true;
-  case EffectKind::AddOlII:
-    Comp = 8;
-    IsAdd = true;
-    return true;
-  case EffectKind::SetCalleePathII:
-    Comp = 9;
-    return true;
-  case EffectKind::SetCallSiteII:
-    Comp = 10;
-    return true;
-  case EffectKind::SetCalleeII:
-    Comp = 11;
-    return true;
-  case EffectKind::SetActiveII:
-    Comp = 12;
-    return true;
-  case EffectKind::SetLoopRo:
-    Comp = 13;
-    return true;
-  case EffectKind::AddLoopRo:
-    Comp = 13;
-    IsAdd = true;
-    return true;
-  case EffectKind::SetLoopOl:
-    Comp = 14;
-    return true;
-  case EffectKind::AddLoopOl:
-    Comp = 14;
-    IsAdd = true;
-    return true;
-  case EffectKind::SetLoopActive:
-    Comp = 15;
-    return true;
-  default:
-    return false;
-  }
-}
-
-const EffectKind kSetKindOf[16] = {
-    EffectKind::SetR,          EffectKind::SetRI,
-    EffectKind::SetOlI,        EffectKind::SetCallerPre,
-    EffectKind::SetCallSiteI,  EffectKind::SetActiveI,
-    EffectKind::SetHaveCaller, EffectKind::SetRoII,
-    EffectKind::SetOlII,       EffectKind::SetCalleePathII,
-    EffectKind::SetCallSiteII, EffectKind::SetCalleeII,
-    EffectKind::SetActiveII,   EffectKind::SetLoopRo,
-    EffectKind::SetLoopOl,     EffectKind::SetLoopActive,
-};
-const EffectKind kAddKindOf[16] = {
-    EffectKind::AddR,          EffectKind::AddRI,
-    EffectKind::AddOlI,        EffectKind::SetCallerPre, // unused
-    EffectKind::SetCallSiteI,                            // unused
-    EffectKind::SetActiveI,                              // unused
-    EffectKind::SetHaveCaller,                           // unused
-    EffectKind::AddRoII,       EffectKind::AddOlII,
-    EffectKind::SetCalleePathII,                         // unused
-    EffectKind::SetCallSiteII,                           // unused
-    EffectKind::SetCalleeII,                             // unused
-    EffectKind::SetActiveII,                             // unused
-    EffectKind::AddLoopRo,     EffectKind::AddLoopOl,
-    EffectKind::SetLoopActive,                           // unused
-};
-
-/// Merges effect entries hitting the same component of the same frame at
-/// the same base position. Sound because same-BaseIdx effects apply
-/// all-or-nothing on the deopt path (the gate is E.BaseIdx < threshold,
-/// plus a per-(Depth, BaseIdx) frame-liveness test that is identical for
-/// the whole group).
-void coalesceEffects(CompiledTrace &T, TraceOptStats &St) {
-  std::vector<TraceEffect> &E = T.Effects;
-  std::vector<TraceEffect> Out;
-  Out.reserve(E.size());
-  std::vector<uint8_t> Used;
-  size_t I = 0;
-  while (I < E.size()) {
-    size_t J = I;
-    while (J < E.size() && E[J].BaseIdx == E[I].BaseIdx)
-      ++J;
-    Used.assign(J - I, 0);
-    for (size_t A = I; A < J; ++A) {
-      if (Used[A - I])
-        continue;
-      int Comp;
-      bool IsAdd;
-      if (!effectComp(E[A].Kind, Comp, IsAdd)) {
-        Out.push_back(E[A]);
-        continue;
-      }
-      bool HasSet = !IsAdd;
-      int64_t Acc = E[A].V;
-      uint32_t Merged = 0;
-      for (size_t B = A + 1; B < J; ++B) {
-        if (Used[B - I])
-          continue;
-        int C2;
-        bool Add2;
-        if (!effectComp(E[B].Kind, C2, Add2))
-          continue;
-        if (C2 != Comp || E[B].Depth != E[A].Depth || E[B].Slot != E[A].Slot)
-          continue;
-        Used[B - I] = 1;
-        ++Merged;
-        if (Add2)
-          Acc = wrapAdd(Acc, E[B].V);
-        else {
-          HasSet = true;
-          Acc = E[B].V;
-        }
-      }
-      if (!Merged) {
-        Out.push_back(E[A]);
-        continue;
-      }
-      St.EffectsCoalesced += Merged;
-      if (!HasSet && Acc == 0)
-        continue; // net-zero add: drop entirely
-      TraceEffect M = E[A];
-      M.Kind = HasSet ? kSetKindOf[Comp] : kAddKindOf[Comp];
-      M.V = Acc;
-      Out.push_back(M);
-    }
-    I = J;
-  }
-  E = std::move(Out);
-}
-
-} // namespace
-} // namespace olpp
 
 //===----------------------------------------------------------------------===//
 // Guard pass budgets
@@ -1364,8 +45,8 @@ enum class GuardStyle { Eq, Bool, Lt };
 /// back to One — always sound, it is exactly the per-pass legacy check.
 GuardBudget budgetFor(const TraceGuard &G,
                       const std::vector<TraceEffect> &PassEffects) {
-  EffectKind SetK;
-  EffectKind AddK;
+  EffectKind SetK = EffectKind::SetR;
+  EffectKind AddK = EffectKind::AddR;
   bool HasAdd = true;
   bool SlotMatch = false;
   GuardStyle Style = GuardStyle::Eq;
@@ -1551,27 +232,20 @@ void computeBudgets(CompiledTrace &T) {
 // Entry point
 //===----------------------------------------------------------------------===//
 
-void optimizeTrace(CompiledTrace &T, const TraceOptConfig &C,
-                   TraceOptStats *SOut) {
-  TraceOptStats Local;
-  TraceOptStats &St = SOut ? *SOut : Local;
-  const bool DoFold = (C.Stages & kTraceOptFold) != 0;
-  const bool DoGuard = (C.Stages & kTraceOptGuardElim) != 0;
-  std::vector<uint8_t> Removed(T.Steps.size(), 0);
-  std::vector<TraceRecovery> Pend;
-  if (DoFold || DoGuard) {
-    ValuePass VP(T, DoFold, DoGuard, Removed, St);
-    VP.run();
+void optimizeTrace(CompiledTrace &T, bool FaultDropGuard) {
+  if (FaultDropGuard) {
+    // Planted bug: the last branch guard disappears, so a pass that should
+    // deopt there runs on down the recorded path.
+    for (size_t I = T.Steps.size(); I-- > 0;) {
+      const TOp Op = T.Steps[I].Op;
+      if (Op == TOp::GuardTrue || Op == TOp::GuardFalse) {
+        T.Steps.erase(T.Steps.begin() + static_cast<ptrdiff_t>(I));
+        T.Meta.erase(T.Meta.begin() + static_cast<ptrdiff_t>(I));
+        break;
+      }
+    }
   }
-  if (DoFold && (C.Stages & kTraceOptDWE))
-    deadWriteElim(T, Removed, Pend, St);
-  if (C.FaultDropGuard)
-    dropLastBranchGuard(T, Removed);
-  compact(T, Removed, Pend);
-  if (C.Stages & kTraceOptCoalesce)
-    coalesceEffects(T, St);
-  if (C.Stages & kTraceOptBudget)
-    computeBudgets(T);
+  computeBudgets(T);
 }
 
 } // namespace olpp
@@ -1756,17 +430,6 @@ std::string dumpTrace(const CompiledTrace &T) {
     const TraceBump &B = T.Bumps[I];
     appendf(Out, "  [%zu] table=%u func=%u base=%u id=%lld\n", I, B.Table,
             B.FuncId, B.BaseIdx, static_cast<long long>(B.Id));
-  }
-  appendf(Out, "recov: %zu\n", T.Recov.size());
-  for (size_t I = 0; I < T.Recov.size(); ++I) {
-    const TraceRecovery &R = T.Recov[I];
-    const char *W = R.Wrap ? " wrap" : "";
-    if (R.Copy)
-      appendf(Out, "  [%zu] [%u,%u]%s r%u = r%u\n", I, R.Begin, R.End, W,
-              R.R, R.Src);
-    else
-      appendf(Out, "  [%zu] [%u,%u]%s r%u = %lld\n", I, R.Begin, R.End, W,
-              R.R, static_cast<long long>(R.V));
   }
   return Out;
 }

@@ -5,42 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Optimization pipeline over CompiledTrace (interp/TraceTier.h). The
+/// Trace-local optimizer over CompiledTrace (interp/TraceTier.h). The
 /// compiler already elides every probe — probe state lives symbolically
-/// and counter bumps are a precomputed side table — so this layer attacks
-/// what is left: the straight-line register program and the per-pass guard
-/// sweep. Stages (maskable for A/B measurement):
+/// and counter bumps are a precomputed side table — so what is left to
+/// attack is the per-pass guard sweep. optimizeTrace computes one pass
+/// budget per entry guard (GuardBudget) from the collapsed PassEffects,
+/// letting the executor run a batch of K passes with a single guard sweep
+/// and one scaled effect application instead of K of each.
 ///
-///   kFold      — forward value pass: copy propagation, constant folding
-///                with a small value-range (interval) lattice mirroring
-///                the analysis/ValueRange domain, and store-to-load
-///                forwarding of globals.
-///   kDWE       — dead-write elimination of overwritten or whole-pass-dead
-///                Const/Move steps. Every removed write gets a
-///                TraceRecovery entry so a deopt inside its live window
-///                still materializes the value — deopt state stays
-///                bit-exact. Whole-pass-dead writes additionally get a
-///                cyclic Wrap window whose value is re-applied both at
-///                every deopt and at clean exits; that replay scales with
-///                deopt frequency, so the tier can gate this stage off per
-///                trace when the observed deopt rate makes it a net loss
-///                (RunConfig::TraceDWEGate).
-///   kGuardElim — drops branch guards whose condition the value pass
-///                proved (a guard implied by an earlier guard or by the
-///                interval facts), and duplicate callee guards.
-///   kCoalesce  — merges TraceEffect entries that hit the same component
-///                at the same base position (Set;Add -> Set, Add;Add ->
-///                Add, Set;Set -> last), shrinking the deopt effect list.
-///   kBudget    — computes per-guard pass budgets (GuardBudget) from the
-///                collapsed PassEffects, letting the executor run a batch
-///                of K passes with a single guard sweep and one scaled
-///                effect application instead of K of each.
-///
-/// The optimizer never touches accounting: a removed step keeps its cost
-/// inside the surviving Cum* prefixes and the Pass* totals, so DynCounts
-/// stay bit-identical to the untraced engine (the step's register effect
-/// is what recovery re-creates; its cost was always charged as if
-/// executed, exactly like the compiler's ghost steps).
+/// The optimizer changes neither the step vector nor accounting, so a
+/// deopt restores exactly the state the compiled trace itself tracks and
+/// DynCounts stay bit-identical to the untraced engine. RunConfig::
+/// EnableTraceOpt (--no-trace-opt) turns it off for the A/B lane.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,35 +31,12 @@
 
 namespace olpp {
 
-/// Stage bits for TraceSettings::OptStages / TraceOptConfig::Stages.
-enum TraceOptStage : uint32_t {
-  kTraceOptFold = 1u << 0,
-  kTraceOptGuardElim = 1u << 1,
-  kTraceOptCoalesce = 1u << 2,
-  kTraceOptBudget = 1u << 3,
-  kTraceOptDWE = 1u << 4,
-  kTraceOptAll = (1u << 5) - 1,
-};
-
-struct TraceOptConfig {
-  uint32_t Stages = kTraceOptAll;
-  /// Fuzz-only planted bug: unconditionally delete the last branch guard
-  /// of the body. The differential trace oracle must catch the resulting
-  /// divergence (fuzz/Fuzzer.h FaultKind::DropTraceGuard).
-  bool FaultDropGuard = false;
-};
-
-/// Per-trace optimizer counters (dump/experiments).
-struct TraceOptStats {
-  uint32_t StepsRemoved = 0;
-  uint32_t GuardsRemoved = 0;
-  uint32_t EffectsCoalesced = 0;
-  uint32_t ConstsFolded = 0;
-};
-
-/// Optimizes \p T in place. Safe on any compiled trace, anchor or bridge.
-void optimizeTrace(CompiledTrace &T, const TraceOptConfig &C = {},
-                   TraceOptStats *S = nullptr);
+/// Computes \p T's guard pass budgets. Safe on any compiled trace, anchor
+/// or bridge. \p FaultDropGuard is a fuzz-only planted bug: it also
+/// deletes the last branch guard of the body, and the differential trace
+/// oracle must catch the resulting divergence (fuzz/Fuzzer.h
+/// FaultKind::DropTraceGuard).
+void optimizeTrace(CompiledTrace &T, bool FaultDropGuard = false);
 
 /// Deterministic text dump of a compiled trace body (goldens + debugging).
 std::string dumpTrace(const CompiledTrace &T);
@@ -108,8 +61,8 @@ struct TraceFeasibilityFacts {
 /// static feasibility facts: a trace whose guards statically determine its
 /// path ids must only bump ids the analysis proves reachable. Returns
 /// false (trace must be rejected) when any Table-0 bump targets an id the
-/// facts classify infeasible — that can only mean a compiler or optimizer
-/// bug, so the caller treats it like a failed compilation.
+/// facts classify infeasible — that can only mean a compiler bug, so the
+/// caller treats it like a failed compilation.
 bool traceBumpsFeasible(const CompiledTrace &T,
                         const TraceFeasibilityFacts &Facts);
 

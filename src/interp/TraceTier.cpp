@@ -73,39 +73,6 @@ bool PlanTraceCache::installBridge(const CompiledTrace &Parent, uint32_t Step,
   return true;
 }
 
-const CompiledTrace *PlanTraceCache::swapNoDWE(const CompiledTrace &Root) {
-  std::lock_guard<std::mutex> Lock(InstallMu);
-  // NoDWEAlt is only moved under this lock; a concurrent swap (or a churn
-  // retirement that already killed the root) makes this a no-op.
-  if (!Root.NoDWEAlt || Root.Dead.load(std::memory_order_relaxed))
-    return nullptr;
-  std::atomic<const AnchorList *> &Slot = Published[Root.FuncId];
-  const AnchorList *Cur = Slot.load(std::memory_order_relaxed);
-  if (!Cur)
-    return nullptr;
-  std::unique_ptr<CompiledTrace> Alt = std::move(Root.NoDWEAlt);
-  auto Next = std::make_unique<AnchorList>();
-  Next->Entries = Cur->Entries;
-  bool Found = false;
-  for (auto &E : Next->Entries)
-    if (E.first == Root.AnchorPc && E.second == &Root) {
-      E.second = Alt.get();
-      Found = true;
-    }
-  if (!Found)
-    return nullptr; // the anchor no longer publishes Root
-  Alt->prepareRuntime();
-  const CompiledTrace *Raw = Alt.get();
-  Owned.push_back(std::move(Alt));
-  const AnchorList *NextRaw = Next.get();
-  Retired.push_back(std::move(Next));
-  Slot.store(NextRaw, std::memory_order_release);
-  // Dead *after* the new list is published: a lock-free reader of the old
-  // list sees either the live root or, post-publication, the alternate.
-  Root.Dead.store(true, std::memory_order_relaxed);
-  return Raw;
-}
-
 std::vector<const CompiledTrace *> PlanTraceCache::all() const {
   std::lock_guard<std::mutex> Lock(InstallMu);
   std::vector<const CompiledTrace *> Out;
@@ -1412,7 +1379,7 @@ namespace {
 /// consecutive passes they are guaranteed to keep passing for, capped at
 /// \p Cap (0 = a guard fails right now). Without optimizer budgets every
 /// pass re-checks, so the grant is a single pass; with them (see
-/// TraceOpt.h kTraceOptBudget) a whole batch runs on one sweep.
+/// TraceOpt.h optimizeTrace) a whole batch runs on one sweep.
 uint64_t guardPassBudget(const CompiledTrace &T, const TraceRunIO &IO,
                          size_t AnchorIdx, uint64_t Cap) {
   const FastFrame &Fr = IO.Frames[AnchorIdx];
@@ -1696,26 +1663,6 @@ void runCompiledTrace(const CompiledTrace &Root, TraceRunIO &IO) {
   // straight-line progress.
   uint64_t RootProgress = 0;
   bool AnyProgress = false;
-  // Mid-pass deopts anywhere in the tree this enter; folded into the
-  // root's lifetime counter at exit for the DWE gate (every deopt replays
-  // the deopting segment's recovery windows, so tree-wide is the honest
-  // measure of replay pressure).
-  uint64_t RunDeopts = 0;
-  // Completed passes of the *current segment run* (reset on every segment
-  // switch): gates Wrap recovery entries, whose value only exists once
-  // this segment has wrapped around the backedge at least once.
-  uint64_t SegPasses = 0;
-  // A clean pass-boundary exit from a segment must land every Wrap entry
-  // (the final value of each whole-pass-dead write) before anything else
-  // reads the anchor frame.
-  const auto MaterializeWraps = [&IO, AnchorIdx](const CompiledTrace &Tr) {
-    if (Tr.Recov.empty())
-      return;
-    int64_t *ARegs = IO.RegStack.data() + IO.Frames[AnchorIdx].RegBase;
-    for (const TraceRecovery &R : Tr.Recov)
-      if (R.Wrap)
-        ARegs[R.R] = R.Copy ? ARegs[R.Src] : R.V;
-  };
   // Base-step index at which the frame currently live at each in-trace
   // depth was created; gates positional effects to the right frame
   // instance on a mid-pass deopt.
@@ -1752,8 +1699,6 @@ void runCompiledTrace(const CompiledTrace &Root, TraceRunIO &IO) {
       }
       if (!AnyProgress)
         ++IO.Stats.EntryRejects;
-      if (SegPasses)
-        MaterializeWraps(T);
       FastFrame &Top = IO.Frames[AnchorIdx];
       Top.Pc = T.AnchorPc;
       Top.Block = T.AnchorBlock;
@@ -2048,8 +1993,8 @@ void runCompiledTrace(const CompiledTrace &Root, TraceRunIO &IO) {
     // Batch bookkeeping. Completed passes apply their net effects scaled
     // (deferred across the batch: steps never read probe state, so the
     // deferral is invisible), then the deopt path applies the partial
-    // pass's positional effects and recovery entries — exact interpreter
-    // state before anything else looks at it.
+    // pass's positional effects — exact interpreter state before anything
+    // else looks at it.
     uint32_t Threshold = 0;
     applyPassEffectsScaled(T, IO, AnchorIdx, PassCount);
     if (Deopt) {
@@ -2064,21 +2009,6 @@ void runCompiledTrace(const CompiledTrace &Root, TraceRunIO &IO) {
           continue;
         applyEffect(E, IO, AnchorIdx);
       }
-      // Materialize optimizer-removed register writes whose live window
-      // covers the deopt step (anchor-frame registers; sorted by Begin,
-      // later entries overwrite earlier ones by design).
-      if (!T.Recov.empty()) {
-        int64_t *ARegs = IO.RegStack.data() + IO.Frames[AnchorIdx].RegBase;
-        const uint32_t K32 = static_cast<uint32_t>(DeoptK);
-        for (const TraceRecovery &R : T.Recov) {
-          if (R.Begin > K32)
-            break;
-          // Wrap windows hold the previous pass's value: dead until this
-          // segment run has completed at least one pass.
-          if (K32 <= R.End && (!R.Wrap || SegPasses + PassCount > 0))
-            ARegs[R.R] = R.Copy ? ARegs[R.Src] : R.V;
-        }
-      }
       IO.Steps += PassCount * T.PassSteps + Mk.CumSteps;
       IO.Base += PassCount * T.PassBase + Mk.CumBase;
       IO.PCost += PassCount * T.PassPCost + Mk.CumPCost;
@@ -2089,7 +2019,6 @@ void runCompiledTrace(const CompiledTrace &Root, TraceRunIO &IO) {
       Top.Pc = Mk.Pc;
       Top.Block = Mk.Block;
       ++IO.Stats.Deopts;
-      ++RunDeopts;
     } else {
       IO.Steps += PassCount * T.PassSteps;
       IO.Base += PassCount * T.PassBase;
@@ -2099,7 +2028,6 @@ void runCompiledTrace(const CompiledTrace &Root, TraceRunIO &IO) {
       IO.Stats.TraceSteps += PassCount * T.PassSteps;
     }
     IO.Stats.Passes += PassCount;
-    SegPasses += PassCount;
 
     for (const TraceBump &B : T.Bumps) {
       const uint64_t N =
@@ -2127,13 +2055,10 @@ void runCompiledTrace(const CompiledTrace &Root, TraceRunIO &IO) {
         T.LifePasses.fetch_add(1, std::memory_order_relaxed);
         RootProgress += 1;
         AnyProgress = true;
-        MaterializeWraps(T);
         Seg = &Root;
-        SegPasses = 0;
         continue;
       }
       if (!T.MultiPass) {
-        MaterializeWraps(T);
         FastFrame &Top = IO.Frames[AnchorIdx];
         Top.Pc = T.AnchorPc;
         Top.Block = T.AnchorBlock;
@@ -2158,7 +2083,6 @@ void runCompiledTrace(const CompiledTrace &Root, TraceRunIO &IO) {
             T.BridgeAt[DeoptK].load(std::memory_order_acquire);
         if (Br && !Br->Dead.load(std::memory_order_relaxed)) {
           Seg = Br;
-          SegPasses = 0;
           Chase = true;
         } else if (!Br && Now == IO.LinkThreshold) {
           IO.BridgeParent = &T;
@@ -2189,21 +2113,6 @@ void runCompiledTrace(const CompiledTrace &Root, TraceRunIO &IO) {
   const uint64_t Passes =
       Root.LifePasses.fetch_add(RootProgress, std::memory_order_relaxed) +
       RootProgress;
-  const uint64_t Deopts =
-      Root.LifeDeopts.fetch_add(RunDeopts, std::memory_order_relaxed) +
-      RunDeopts;
-  // Deopt-rate DWE gate: once the lifetime rate crosses the threshold the
-  // wrap-recovery replay is costing more than the eliminated writes save;
-  // ask the interpreter to swap in the pre-compiled no-DWE alternate. The
-  // gate outranks churn retirement — the trace still makes straight-line
-  // progress, it is just optimized wrongly for this deopt profile.
-  if (IO.DWEGate && Root.HasWrapDWE &&
-      Enters >= CompiledTrace::RetireCheckEnters &&
-      Deopts * 100 > Enters * static_cast<uint64_t>(IO.DWEGate) &&
-      !Root.Dead.load(std::memory_order_relaxed)) {
-    IO.DWETripped = &Root;
-    return;
-  }
   if (Enters >= CompiledTrace::RetireCheckEnters && Passes < Enters &&
       !Root.Dead.exchange(true, std::memory_order_relaxed)) {
     IO.Prof.Tier.blacklistAnchor(Root.FuncId, Root.AnchorPc);

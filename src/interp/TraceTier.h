@@ -125,10 +125,6 @@ struct TraceTierStats {
   uint64_t Retired = 0;    ///< traces marked dead for persistent churn
   uint64_t Bridges = 0;      ///< bridge traces compiled and linked this run
   uint64_t BridgeEnters = 0; ///< side exits continued into a bridge trace
-  /// Root traces swapped for their no-DWE alternate because the observed
-  /// deopt rate crossed RunConfig::TraceDWEGate (wrap-recovery replay was
-  /// costing more than the eliminated writes saved).
-  uint64_t DWEGated = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -399,32 +395,6 @@ struct TraceStepMeta {
   uint32_t CumCalls = 0;
 };
 
-/// A register write the optimizer removed from the straight line. The
-/// surviving steps never read it, but a mid-pass deopt landing inside its
-/// live window must still see the value in the anchor frame's registers,
-/// so the executor materializes it on that deopt path. Windows are step
-/// indices into the *optimized* step vector; entry (Begin, End, R) means
-/// "a deopt at step k with Begin <= k <= End must set anchor reg R".
-/// Entries are sorted by Begin and applied in order, so a later removed
-/// write to the same register correctly overwrites an earlier one.
-struct TraceRecovery {
-  uint32_t Begin = 0;
-  uint32_t End = 0;
-  Reg R = 0;
-  /// Copy == false: R = V. Copy == true: R = anchor reg Src (the optimizer
-  /// proved Src holds the removed value throughout the window).
-  bool Copy = false;
-  /// The cyclic half of a whole-pass-dead write's window: inside [Begin,
-  /// End] the value flowed in from the *previous* pass, so the executor
-  /// applies the entry only once the current segment run has completed a
-  /// pass — and re-applies every Wrap entry wholesale on a clean
-  /// pass-boundary exit, so the interpreter resumes with the write's
-  /// final value in place.
-  bool Wrap = false;
-  Reg Src = 0;
-  int64_t V = 0;
-};
-
 /// Per-entry-guard pass budget, computed by the optimizer from the guard's
 /// evolution under PassEffects. Lets the executor check guards once per
 /// *batch* of passes instead of once per pass: a component untouched by a
@@ -462,10 +432,9 @@ struct CompiledTrace {
   std::vector<TraceEffect> PassEffects; ///< collapsed net effect (pass end)
   std::vector<TraceBump> Bumps;
 
-  /// Optimizer products (interp/TraceOpt.h). Empty on an unoptimized
+  /// Optimizer product (interp/TraceOpt.h). Empty on an unoptimized
   /// trace; the executor falls back to per-pass guard checks when Budgets
   /// is empty.
-  std::vector<TraceRecovery> Recov;
   std::vector<GuardBudget> Budgets; ///< parallel to Guards when Budgeted
   bool Budgeted = false; ///< budget stage ran (Budgets.size()==Guards.size())
 
@@ -494,22 +463,6 @@ struct CompiledTrace {
   mutable std::atomic<uint64_t> LifeEnters{0};
   mutable std::atomic<uint64_t> LifePasses{0};
   mutable std::atomic<bool> Dead{false};
-
-  /// Deopt-rate gate for wrap-recovery dead-write elimination. A root
-  /// trace whose optimized body carries cyclic Wrap recovery windows pays
-  /// a replay on every deopt (and a materialization on every clean exit);
-  /// past a deopt rate that replay outweighs the removed writes. When the
-  /// gate is armed (RunConfig::TraceDWEGate > 0) the install path
-  /// pre-compiles the same recording with the DWE stage masked off and
-  /// parks it here; once LifeDeopts/LifeEnters crosses the configured rate
-  /// the cache atomically republishes the anchor with the alternate
-  /// (PlanTraceCache::swapNoDWE) and this trace dies. HasWrapDWE is
-  /// immutable after install — the executor's gate check reads it without
-  /// synchronization; NoDWEAlt is only touched under the cache's install
-  /// lock.
-  bool HasWrapDWE = false;
-  mutable std::unique_ptr<CompiledTrace> NoDWEAlt;
-  mutable std::atomic<uint64_t> LifeDeopts{0};
 
   /// Side-exit linking (trace trees). Per-step tables sized Steps.size(),
   /// allocated by the cache at install time (prepareRuntime). ExitDeopts
@@ -589,14 +542,6 @@ public:
   bool installBridge(const CompiledTrace &Parent, uint32_t Step,
                      std::unique_ptr<CompiledTrace> B);
 
-  /// Deopt-rate DWE gate: republishes \p Root's anchor entry with its
-  /// pre-compiled no-DWE alternate and marks \p Root dead. Returns the
-  /// newly published trace, or null when the swap is impossible (no
-  /// alternate, Root already dead/retired, or a concurrent swap won).
-  /// Unlike churn retirement the anchor is NOT blacklisted — the
-  /// replacement keeps executing it.
-  const CompiledTrace *swapNoDWE(const CompiledTrace &Root);
-
   /// Every trace this cache owns (anchors and bridges, dead ones
   /// included), in install order. Test/dump helper; takes the install
   /// lock.
@@ -616,24 +561,17 @@ private:
 /// Everything that shapes what a recorded trace *is*: two runs whose
 /// settings differ in any field must never share compiled traces, because
 /// the traces themselves differ (recording threshold changes which anchors
-/// get recorded and when; the optimizer stage mask and the planted fault
-/// change the compiled bodies; the link threshold changes which bridges
-/// exist).
+/// get recorded and when; the optimizer and the planted fault change the
+/// compiled bodies; the link threshold changes which bridges exist).
 struct TraceSettings {
   uint32_t Threshold = 32;     ///< hotness threshold (0 = first completion)
   uint32_t LinkThreshold = 8;  ///< side-exit deopts before bridging (0 = off)
-  uint32_t OptStages = 0;      ///< TraceOpt stage mask (0 = unoptimized)
+  bool Optimize = false;       ///< guard pass budgets (interp/TraceOpt.h)
   bool FaultDropGuard = false; ///< fuzz-only planted optimizer bug
-  /// Deopts per 100 enters above which a wrap-DWE trace is swapped for its
-  /// no-DWE alternate (0 = gate off). Part of the key: the gate changes
-  /// which compiled bodies an anchor ends up running, so A/B lanes with
-  /// different gates must not share traces.
-  uint32_t DWEGate = 100;
 
   bool operator==(const TraceSettings &O) const {
     return Threshold == O.Threshold && LinkThreshold == O.LinkThreshold &&
-           OptStages == O.OptStages && FaultDropGuard == O.FaultDropGuard &&
-           DWEGate == O.DWEGate;
+           Optimize == O.Optimize && FaultDropGuard == O.FaultDropGuard;
   }
 };
 
@@ -641,8 +579,8 @@ struct TraceSettings {
 /// recorded them. Plans are shared process-wide by content fingerprint
 /// (interp/PlanCache.h); a single cache per plan would let traces recorded
 /// under one settings tuple leak into later runs of an identical-content
-/// module with different settings — a different threshold, a different
-/// optimizer stage mask, or tracing disabled — silently changing the
+/// module with different settings — a different threshold, the optimizer
+/// switched off, or tracing disabled — silently changing the
 /// execution tier. Each distinct settings tuple therefore gets its own
 /// PlanTraceCache, created on first use; a run with tracing off never asks
 /// for one and so never sees a trace.
@@ -711,19 +649,11 @@ struct TraceRunIO {
   /// link).
   uint32_t LinkThreshold = 0;
 
-  /// Deopt-rate DWE gate threshold, deopts per 100 enters (0 = gate off).
-  uint32_t DWEGate = 0;
-
   /// Out: set when the run wants a bridge recorded for Parent's side exit
   /// at step BridgeStep. The interpreter arms the recorder at the resume
   /// point it is about to dispatch from.
   const CompiledTrace *BridgeParent = nullptr;
   uint32_t BridgeStep = 0;
-
-  /// Out: set when the root's lifetime deopt rate crossed DWEGate and the
-  /// trace carries wrap-recovery DWE; the interpreter asks the cache to
-  /// swap in the no-DWE alternate (PlanTraceCache::swapNoDWE).
-  const CompiledTrace *DWETripped = nullptr;
 };
 
 /// Runs \p T until a guard, fault condition or the fuel precondition stops

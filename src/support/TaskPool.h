@@ -5,13 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A persistent work-stealing task pool: the shared concurrency primitive
-/// behind the parallel profiling pipeline (sharded bench collection, the
-/// component-partitioned interval solver, `olpp fuzz --jobs`). Unlike
-/// support/ThreadPool.h's parallelFor — which spawns and joins fresh
-/// threads per batch — a TaskPool keeps its workers alive, so fine-grained
-/// work (one solver component, one fuzz seed) can be submitted without
-/// paying thread start-up per item.
+/// A persistent work-stealing task pool: the one concurrency primitive
+/// behind the parallel profiling pipeline (sharded bench collection,
+/// `olpp bench --jobs`, `olpp fuzz --jobs`). Workers stay alive, so
+/// fine-grained work (one fuzz seed, one batch run) can be submitted
+/// without paying thread start-up per item.
 ///
 /// Design:
 ///   - every worker owns a deque; local submissions push to its bottom
@@ -47,6 +45,13 @@
 #include <vector>
 
 namespace olpp {
+
+/// One worker per hardware thread (4 when the count is unknown): the pool
+/// size for Threads == 0 and the `--jobs 0` ("auto") job count.
+inline unsigned defaultJobCount() {
+  unsigned N = std::thread::hardware_concurrency();
+  return N ? N : 4;
+}
 
 class TaskPool {
   struct TaskState {
@@ -100,13 +105,10 @@ public:
     std::shared_ptr<TaskState> S;
   };
 
-  /// \p Threads == 0 picks one worker per hardware thread (at least 1).
+  /// \p Threads == 0 picks defaultJobCount() workers.
   explicit TaskPool(unsigned Threads = 0) {
-    if (Threads == 0) {
-      Threads = std::thread::hardware_concurrency();
-      if (Threads == 0)
-        Threads = 4;
-    }
+    if (Threads == 0)
+      Threads = defaultJobCount();
     Queues.reserve(Threads);
     for (unsigned W = 0; W < Threads; ++W)
       Queues.push_back(std::make_unique<WorkerQueue>());

@@ -21,6 +21,8 @@
 #include "profile/Instrumenter.h"
 #include "workloads/Workloads.h"
 
+#include "../WorkloadParams.h"
+
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -152,15 +154,9 @@ TEST_P(EngineDiffTest, UninstrumentedRunMatches) {
   EXPECT_TRUE(Res[0].Counts == Res[1].Counts) << W.Name;
 }
 
-std::vector<const Workload *> allWorkloadPtrs() {
-  std::vector<const Workload *> Out;
-  for (const Workload &W : allWorkloads())
-    Out.push_back(&W);
-  return Out;
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    AllWorkloads, EngineDiffTest, testing::ValuesIn(allWorkloadPtrs()),
+    AllWorkloads, EngineDiffTest,
+    testing::ValuesIn(testutil::allWorkloadPtrs()),
     [](const testing::TestParamInfo<const Workload *> &Info) {
       return Info.param->Name;
     });

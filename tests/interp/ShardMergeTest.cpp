@@ -22,6 +22,8 @@
 #include "support/TaskPool.h"
 #include "workloads/Workloads.h"
 
+#include "../WorkloadParams.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -159,15 +161,9 @@ TEST_P(ShardMergeTest, ThreeShardsMatchSerialInEveryMode) {
     checkShardMerge(*GetParam(), Mode, /*Shards=*/3, /*Reps=*/5);
 }
 
-std::vector<const Workload *> allWorkloadPtrs() {
-  std::vector<const Workload *> Out;
-  for (const Workload &W : allWorkloads())
-    Out.push_back(&W);
-  return Out;
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    AllWorkloads, ShardMergeTest, testing::ValuesIn(allWorkloadPtrs()),
+    AllWorkloads, ShardMergeTest,
+    testing::ValuesIn(testutil::allWorkloadPtrs()),
     [](const testing::TestParamInfo<const Workload *> &Info) {
       return Info.param->Name;
     });

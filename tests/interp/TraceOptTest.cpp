@@ -4,21 +4,19 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The trace optimizer (TraceOpt.cpp) rewrites a CompiledTrace in place:
-// constant folding, copy propagation, interval-driven guard elimination,
-// linear and cyclic dead-write elimination (with recovery windows), effect
-// coalescing and guard pass budgets. Its contract is the same invisibility
-// the tier itself promises — bit-identical observables against both the
-// reference engine and the unoptimized fast engine.
+// The trace optimizer (TraceOpt.cpp) computes guard pass budgets for a
+// CompiledTrace, so the executor sweeps the entry guards once per batch
+// of passes instead of once per pass. Its contract is the same
+// invisibility the tier itself promises — bit-identical observables
+// against both the reference engine and the unoptimized fast engine.
 //
 // Three layers of evidence here:
 //  - Golden dumps: the exact pre/post optimizer trace bodies of three
-//    canonical workloads (fold-heavy, provable-guard, cross-procedure),
-//    pinned as full-text goldens so any pipeline change is a visible diff.
+//    canonical workloads (constant-heavy, branchy, cross-procedure),
+//    pinned as full-text goldens so any optimizer change is a visible diff.
 //  - Property tests: randomized inputs and a fuel-budget sweep comparing
-//    reference vs optimized vs unoptimized runs — deopt states must be
-//    bit-exact even when recovery windows (including cyclic Wrap entries)
-//    are what reconstructs them.
+//    reference vs optimized vs unoptimized runs — deopt and abort states
+//    inside a budgeted batch of passes must be bit-exact.
 //  - Feasibility cross-check: statically infeasible path ids in
 //    RunConfig::TraceFacts must veto trace installation, never semantics.
 //
@@ -132,7 +130,7 @@ std::string dumpSingleTrace(const Program &P, bool Opt) {
   auto Plan = ExecPlanCache::global().get(*P.M);
   if (!Plan || !Plan->Traces)
     return "<no plan>";
-  const TraceSettings S{1, 0, Opt ? kTraceOptAll : 0u, false};
+  const TraceSettings S{1, 0, Opt, false};
   PlanTraceCache *TC = Plan->Traces->forSettings(S);
   std::vector<const CompiledTrace *> All = TC->all();
   if (All.size() != 1)
@@ -144,9 +142,8 @@ std::string dumpSingleTrace(const Program &P, bool Opt) {
 // Golden workloads
 //===----------------------------------------------------------------------===//
 
-// Fold-heavy loop body: every temporary is a compile-time constant, so the
-// optimizer folds the arithmetic into Imm forms and the orphaned Const
-// writes become whole-pass-dead (removed with Wrap recovery entries).
+// Constant-heavy loop body: every temporary is a compile-time constant.
+// The step vector is left as compiled; only the guard budgets change.
 const char *FoldSource = R"(
   global acc;
   fn main(n) {
@@ -161,8 +158,8 @@ const char *FoldSource = R"(
   }
 )";
 
-// Provable guard: (i & 7) is in [0, 7] by the AndImm interval, so the
-// < 8 compare folds to 1 and the branch guard is eliminated.
+// A branch guard whose condition always holds: the optimizer keeps it
+// (the step vector is never rewritten) and still budgets the entry guards.
 const char *GuardSource = R"(
   global acc;
   fn main(n) {
@@ -178,8 +175,8 @@ const char *GuardSource = R"(
 )";
 
 // Cross-procedure trace: the loop calls leaf(), so the trace carries a
-// callee frame, interprocedural guards and a Ret — the optimizer must
-// leave the call protocol intact while still cleaning the caller body.
+// callee frame, interprocedural guards and a Ret — the budgets must cover
+// the interprocedural entry guards too.
 const char *CallSource = R"(
   global acc;
   fn leaf(a, b) {
@@ -235,7 +232,6 @@ passeffects: 4
   [3] SetLoopActive d=0 slot=0 v=1
 bumps: 1
   [0] table=0 func=0 base=18 id=3
-recov: 0
 )";
 
 const char *FoldPostGolden =
@@ -246,21 +242,30 @@ guards: 5
   [2] LoopRo slot=0 v=0 budget=inf
   [3] R slot=0 v=0 budget=inf
   [4] LoopOlLt slot=0 v=2 budget=inf
-steps: 8
+steps: 16
   [0] cmplt r5 r1 r0  @f0:5 b1 base=1
   [1] guardtrue r5  @f0:6 b1 base=2
-  [2] loadg r11 g0  @f0:14 b2 base=10
-  [3] addimm r12 r11 7  @f0:15 b2 base=11
-  [4] add r13 r12 r1  @f0:16 b2 base=12
-  [5] storeg g0 r13  @f0:17 b2 base=13
-  [6] addimm r15 r1 1  @f0:19 b2 base=15
-  [7] move r1 r15  @f0:20 b2 base=16
-effects: 5
+  [2] const r6 3  @f0:7 b2 base=3
+  [3] const r2 3  @f0:8 b2 base=4
+  [4] const r7 2  @f0:9 b2 base=5
+  [5] const r8 6  @f0:10 b2 base=6
+  [6] const r9 1  @f0:11 b2 base=7
+  [7] const r10 7  @f0:12 b2 base=8
+  [8] const r3 7  @f0:13 b2 base=9
+  [9] loadg r11 g0  @f0:14 b2 base=10
+  [10] addimm r12 r11 7  @f0:15 b2 base=11
+  [11] add r13 r12 r1  @f0:16 b2 base=12
+  [12] storeg g0 r13  @f0:17 b2 base=13
+  [13] const r14 1  @f0:18 b2 base=14
+  [14] addimm r15 r1 1  @f0:19 b2 base=15
+  [15] move r1 r15  @f0:20 b2 base=16
+effects: 6
   [0] AddLoopOl d=0 slot=0 base=0 v=1
-  [1] SetLoopActive d=0 slot=0 base=18 v=1
+  [1] SetLoopActive d=0 slot=0 base=18 v=0
   [2] SetLoopRo d=0 slot=0 base=18 v=0
   [3] SetLoopOl d=0 slot=0 base=18 v=0
-  [4] SetR d=0 slot=0 base=18 v=0
+  [4] SetLoopActive d=0 slot=0 base=18 v=1
+  [5] SetR d=0 slot=0 base=18 v=0
 passeffects: 4
   [0] SetR d=0 slot=0 v=0
   [1] SetLoopRo d=0 slot=0 v=0
@@ -268,23 +273,6 @@ passeffects: 4
   [3] SetLoopActive d=0 slot=0 v=1
 bumps: 1
   [0] table=0 func=0 base=18 id=3
-recov: 16
-  [0] [0,5] wrap r14 = 1
-  [1] [0,1] wrap r3 = 7
-  [2] [0,1] wrap r10 = 7
-  [3] [0,1] wrap r9 = 1
-  [4] [0,1] wrap r8 = 6
-  [5] [0,1] wrap r7 = 2
-  [6] [0,1] wrap r2 = 3
-  [7] [0,1] wrap r6 = 3
-  [8] [2,7] r3 = 7
-  [9] [2,7] r10 = 7
-  [10] [2,7] r9 = 1
-  [11] [2,7] r8 = 6
-  [12] [2,7] r7 = 2
-  [13] [2,7] r2 = 3
-  [14] [2,7] r6 = 3
-  [15] [6,7] r14 = 1
 )";
 
 const char *GuardPreGolden =
@@ -326,7 +314,6 @@ passeffects: 4
   [3] SetLoopActive d=0 slot=0 v=1
 bumps: 1
   [0] table=0 func=0 base=18 id=7
-recov: 0
 )";
 
 const char *GuardPostGolden =
@@ -337,24 +324,30 @@ guards: 5
   [2] LoopRo slot=0 v=-3 budget=inf
   [3] R slot=0 v=0 budget=inf
   [4] LoopOlLt slot=0 v=1 budget=inf
-steps: 8
+steps: 13
   [0] cmplt r3 r1 r0  @f0:5 b1 base=1
   [1] guardtrue r3  @f0:6 b1 base=2
-  [2] andimm r5 r1 7  @f0:9 b2 base=5
-  [3] loadg r8 g0  @f0:19 b5 base=9
-  [4] add r9 r8 r1  @f0:20 b5 base=10
-  [5] storeg g0 r9  @f0:21 b5 base=11
-  [6] addimm r11 r1 1  @f0:25 b6 base=15
-  [7] move r1 r11  @f0:26 b6 base=16
-effects: 8
+  [2] const r4 7  @f0:8 b2 base=4
+  [3] andimm r5 r1 7  @f0:9 b2 base=5
+  [4] const r6 8  @f0:10 b2 base=6
+  [5] cmpltimm r7 r5 8  @f0:11 b2 base=7
+  [6] guardtrue r7  @f0:12 b2 base=8
+  [7] loadg r8 g0  @f0:19 b5 base=9
+  [8] add r9 r8 r1  @f0:20 b5 base=10
+  [9] storeg g0 r9  @f0:21 b5 base=11
+  [10] const r10 1  @f0:24 b6 base=14
+  [11] addimm r11 r1 1  @f0:25 b6 base=15
+  [12] move r1 r11  @f0:26 b6 base=16
+effects: 9
   [0] AddLoopOl d=0 slot=0 base=0 v=1
   [1] AddLoopOl d=0 slot=0 base=3 v=1
   [2] AddR d=0 slot=0 base=12 v=-3
   [3] AddLoopRo d=0 slot=0 base=12 v=-1
-  [4] SetLoopActive d=0 slot=0 base=18 v=1
+  [4] SetLoopActive d=0 slot=0 base=18 v=0
   [5] SetLoopRo d=0 slot=0 base=18 v=-3
   [6] SetLoopOl d=0 slot=0 base=18 v=0
-  [7] SetR d=0 slot=0 base=18 v=0
+  [7] SetLoopActive d=0 slot=0 base=18 v=1
+  [8] SetR d=0 slot=0 base=18 v=0
 passeffects: 4
   [0] SetR d=0 slot=0 v=0
   [1] SetLoopRo d=0 slot=0 v=-3
@@ -362,15 +355,6 @@ passeffects: 4
   [3] SetLoopActive d=0 slot=0 v=1
 bumps: 1
   [0] table=0 func=0 base=18 id=7
-recov: 8
-  [0] [0,5] wrap r10 = 1
-  [1] [0,2] wrap r7 = 1
-  [2] [0,2] wrap r6 = 8
-  [3] [0,1] wrap r4 = 7
-  [4] [2,7] r4 = 7
-  [5] [3,7] r7 = 1
-  [6] [3,7] r6 = 8
-  [7] [6,7] r10 = 1
 )";
 
 const char *CallPreGolden =
@@ -446,7 +430,6 @@ bumps: 5
   [2] table=0 func=1 base=9 id=2
   [3] table=1 func=0 base=15 id=0
   [4] table=0 func=0 base=15 id=0
-recov: 0
 )";
 
 const char *CallPostGolden =
@@ -459,22 +442,24 @@ guards: 7
   [4] RoII slot=0 v=0 budget=inf
   [5] R slot=0 v=0 budget=inf
   [6] ActiveI slot=0 v=0 budget=inf
-steps: 14
+steps: 16
   [0] cmplt r3 r1 r0  @f1:5 b1 base=3
   [1] guardtrue r3  @f1:6 b1 base=4
   [2] loadg r4 g0  @f1:7 b2 base=5
   [3] loadg r5 g0  @f1:8 b2 base=6
-  [4] andimm r7 r5 255  @f1:10 b2 base=8
-  [5] call r8 f0 ( r1 r7 )  @f1:12 b2 base=10
-  [6] cmpgt r2 r0 r1  @f0:1 b0 base=12
-  [7] guardtrue r2  @f0:2 b0 base=13
-  [8] sub r3 r0 r1  @f0:3 b1 base=14
-  [9] ret r3  @f0:5 b1 base=16
-  [10] add r9 r4 r8  @f1:21 b5 base=19
-  [11] storeg g0 r9  @f1:22 b5 base=20
-  [12] addimm r11 r1 1  @f1:24 b5 base=22
-  [13] move r1 r11  @f1:25 b5 base=23
-effects: 26
+  [4] const r6 255  @f1:9 b2 base=7
+  [5] andimm r7 r5 255  @f1:10 b2 base=8
+  [6] call r8 f0 ( r1 r7 )  @f1:12 b2 base=10
+  [7] cmpgt r2 r0 r1  @f0:1 b0 base=12
+  [8] guardtrue r2  @f0:2 b0 base=13
+  [9] sub r3 r0 r1  @f0:3 b1 base=14
+  [10] ret r3  @f0:5 b1 base=16
+  [11] add r9 r4 r8  @f1:21 b5 base=19
+  [12] storeg g0 r9  @f1:22 b5 base=20
+  [13] const r10 1  @f1:23 b5 base=21
+  [14] addimm r11 r1 1  @f1:24 b5 base=22
+  [15] move r1 r11  @f1:25 b5 base=23
+effects: 27
   [0] SetActiveII d=0 slot=0 base=0 v=0
   [1] SetLoopRo d=0 slot=0 base=0 v=0
   [2] SetLoopOl d=0 slot=0 base=0 v=0
@@ -485,22 +470,23 @@ effects: 26
   [7] ShadowPush d=0 slot=0 base=9 v=2
   [8] SetR d=1 slot=0 base=11 v=0
   [9] SetRI d=1 slot=0 base=11 v=0
-  [10] SetOlI d=1 slot=0 base=11 v=1
+  [10] SetOlI d=1 slot=0 base=11 v=0
   [11] SetCallSiteI d=1 slot=0 base=11 v=0
   [12] SetCallerPre d=1 slot=0 base=11 v=2
   [13] SetActiveI d=1 slot=0 base=11 v=1
   [14] SetHaveCaller d=1 slot=0 base=11 v=1
-  [15] SetActiveI d=1 slot=0 base=15 v=0
-  [16] PendingSet d=0 slot=0 base=15 v=0
-  [17] ShadowPop d=0 slot=0 base=15 v=0
-  [18] SetR d=0 slot=0 base=17 v=0
-  [19] SetActiveII d=0 slot=0 base=17 v=1
-  [20] SetCalleeII d=0 slot=0 base=17 v=0
-  [21] SetCalleePathII d=0 slot=0 base=17 v=0
-  [22] SetCallSiteII d=0 slot=0 base=17 v=0
-  [23] SetRoII d=0 slot=0 base=17 v=0
-  [24] SetOlII d=0 slot=0 base=17 v=0
-  [25] PendingClear d=0 slot=0 base=17 v=0
+  [15] SetOlI d=1 slot=0 base=11 v=1
+  [16] SetActiveI d=1 slot=0 base=15 v=0
+  [17] PendingSet d=0 slot=0 base=15 v=0
+  [18] ShadowPop d=0 slot=0 base=15 v=0
+  [19] SetR d=0 slot=0 base=17 v=0
+  [20] SetActiveII d=0 slot=0 base=17 v=1
+  [21] SetCalleeII d=0 slot=0 base=17 v=0
+  [22] SetCalleePathII d=0 slot=0 base=17 v=0
+  [23] SetCallSiteII d=0 slot=0 base=17 v=0
+  [24] SetRoII d=0 slot=0 base=17 v=0
+  [25] SetOlII d=0 slot=0 base=17 v=0
+  [26] PendingClear d=0 slot=0 base=17 v=0
 passeffects: 11
   [0] SetR d=0 slot=0 v=0
   [1] SetRoII d=0 slot=0 v=0
@@ -519,11 +505,6 @@ bumps: 5
   [2] table=0 func=1 base=9 id=2
   [3] table=1 func=0 base=15 id=0
   [4] table=0 func=0 base=15 id=0
-recov: 4
-  [0] [0,11] wrap r10 = 1
-  [1] [0,3] wrap r6 = 255
-  [2] [4,13] r6 = 255
-  [3] [12,13] r10 = 1
 )";
 
 /// Runs one golden workload both ways, checks bit-exactness against the
@@ -568,10 +549,9 @@ TEST(TraceOptTest, GoldenCallWorkload) {
 // Property tests
 //===----------------------------------------------------------------------===//
 
-// Fold-heavy body *and* a data-dependent branch: the steady-state trace
-// carries cyclically-removed Const writes whose values the other branch
-// reads after a deopt — exactly the state the Wrap recovery entries and
-// the clean-exit materialization must reconstruct.
+// Constant-heavy body *and* a data-dependent branch: the other branch reads
+// the constants after a deopt out of a budgeted batch of passes, so the
+// restored frame must hold exactly the values the base engine would.
 const char *PropertySource = R"(
   global acc;
   fn main(n, d) {
@@ -632,29 +612,32 @@ TEST(TraceOptTest, RandomizedInputsMatchReferenceAndUnoptimized) {
   // The sweep must actually exercise the deopt-restore path.
   EXPECT_TRUE(SawDeopt);
 
-  // The optimizer must have engaged: an installed trace carries cyclic
-  // Wrap recovery entries for the folded-away constants. (The sweep's many
-  // divergence patterns can retire and re-record, so scan every trace.)
+  // The optimizer must have engaged: every installed trace carries guard
+  // pass budgets. (The sweep's many divergence patterns can retire and
+  // re-record, so scan every trace.)
   auto Plan = ExecPlanCache::global().get(*P.M);
   ASSERT_TRUE(Plan && Plan->Traces);
   PlanTraceCache *TC =
-      Plan->Traces->forSettings(TraceSettings{1, 0, kTraceOptAll, false});
-  bool SawWrap = false;
+      Plan->Traces->forSettings(TraceSettings{1, 0, true, false});
+  ASSERT_FALSE(TC->all().empty());
   for (const CompiledTrace *T : TC->all())
-    SawWrap |= dumpTrace(*T).find(" wrap ") != std::string::npos;
-  EXPECT_TRUE(SawWrap);
+    EXPECT_TRUE(T->Budgeted);
 }
 
 // Fuel-abort sweep over the property program: every budget lands the abort
-// at a different trace step, so the Wrap windows (value from the previous
-// pass) and linear windows (value from this pass) are both what makes the
-// aborted state bit-exact.
+// at a different trace step (and batch size), and each aborted state must
+// be bit-exact.
 TEST(TraceOptTest, AbortAtEveryBudgetBitExactUnderOptimizer) {
   Program P = compileInstrumented(PropertySource);
   ASSERT_NE(P.Main, nullptr);
   const std::vector<int64_t> Args{30, 17};
 
-  RunConfig Full = optConfig(true);
+  // Threshold 2 keys a trace cache of its own: the randomized test above
+  // already filled the threshold-1 cache of this (process-wide) plan, and
+  // the full run must record its trace afresh.
+  RunConfig Opt = optConfig(true);
+  Opt.TraceThreshold = 2;
+  RunConfig Full = Opt;
   Full.MaxSteps = 1'000'000;
   auto FullRun = runOnce(P, Args, Full);
   ASSERT_TRUE(FullRun->Res.Ok) << FullRun->Res.Error;
@@ -665,7 +648,7 @@ TEST(TraceOptTest, AbortAtEveryBudgetBitExactUnderOptimizer) {
   for (uint64_t Budget = 1; Budget < FullSteps; ++Budget) {
     RunConfig RRef = referenceConfig();
     RRef.MaxSteps = Budget;
-    RunConfig ROpt = optConfig(true);
+    RunConfig ROpt = Opt;
     ROpt.MaxSteps = Budget;
 
     auto Ref = runOnce(P, Args, RRef);

@@ -599,86 +599,6 @@ TEST(TraceTierTest, ThresholdZeroRecordsOnFirstCompletion) {
   expectSameCounters(Ref->Prof, Fast->Prof, "threshold 0");
 }
 
-// Deopt-rate-aware DWE gate (RunConfig::TraceDWEGate). The loop body's
-// constant temporaries fold away and the orphaned Const writes become
-// whole-pass-dead — removed with cyclic Wrap recovery windows — while the
-// every-eighth-iteration branch makes each trace enter run ~7 passes and
-// then deopt mid-pass (≈100 deopts per 100 enters, with passes well above
-// the churn-retirement floor). A gate below that rate must swap the trace
-// for its no-DWE alternate; a disarmed gate must not. Both lanes stay
-// bit-exact against the reference engine.
-const char *WrapDeoptSource = R"(
-  global acc;
-  fn main(n) {
-    var i = 0;
-    while (i < n) {
-      var t = 3;
-      var u = t * 2 + 1;
-      if ((i & 7) == 5) {
-        acc = acc * 2 + u;
-      } else {
-        acc = acc + u + i;
-      }
-      i = i + 1;
-    }
-    return acc;
-  }
-)";
-
-RunConfig dweGateConfig(uint32_t Gate) {
-  // LinkThreshold 0 keeps the cache single-trace (no bridges), so the
-  // deopt rate is a pure property of the branch pattern above.
-  RunConfig RC = tracedConfig(/*Threshold=*/1);
-  RC.TraceLinkThreshold = 0;
-  RC.TraceDWEGate = Gate;
-  return RC;
-}
-
-TEST(TraceTierTest, DeoptRateGateSwapsWrapDWETraceAndStaysBitExact) {
-  Program P = compileInstrumented(WrapDeoptSource);
-  ASSERT_NE(P.Main, nullptr);
-  // Enough iterations for the gate's RetireCheckEnters minimum (64 enters)
-  // at one deopt per ~8 iterations.
-  const std::vector<int64_t> Args{1000};
-
-  auto Ref = runOnce(P, Args, referenceConfig());
-  ASSERT_TRUE(Ref->Res.Ok) << Ref->Res.Error;
-
-  // Gate disarmed: the wrap-DWE trace keeps running, nothing is swapped.
-  auto Off = runOnce(P, Args, dweGateConfig(/*Gate=*/0));
-  ASSERT_TRUE(Off->Res.Ok) << Off->Res.Error;
-  ASSERT_GE(Off->Res.Trace.Recorded, 1u);
-  EXPECT_EQ(Off->Res.Trace.DWEGated, 0u);
-  // The deopt pattern the gate lane relies on: ≈1 deopt per enter.
-  ASSERT_GE(Off->Res.Trace.Deopts * 2, Off->Res.Trace.Enters);
-  EXPECT_EQ(Ref->Res.ReturnValue, Off->Res.ReturnValue);
-  EXPECT_TRUE(Ref->Res.Counts == Off->Res.Counts);
-  expectSameCounters(Ref->Prof, Off->Prof, "gate off");
-
-  // Gate below the observed rate: the trace must be swapped exactly once
-  // for its no-DWE alternate, with observables still reference-identical.
-  auto On = runOnce(P, Args, dweGateConfig(/*Gate=*/50));
-  ASSERT_TRUE(On->Res.Ok) << On->Res.Error;
-  ASSERT_GE(On->Res.Trace.Recorded, 1u);
-  EXPECT_EQ(On->Res.Trace.DWEGated, 1u);
-  EXPECT_EQ(Ref->Res.ReturnValue, On->Res.ReturnValue);
-  EXPECT_TRUE(Ref->Res.Counts == On->Res.Counts);
-  expectSameCounters(Ref->Prof, On->Prof, "gate on");
-
-  // The swapped-in alternate is what later runs under the same settings
-  // execute: a second run sees the already-gated trace and never trips
-  // the gate again. (It may still record *other* anchors that only get
-  // hot once the first two run as traces — that is ordinary tier
-  // behavior, so only the gate counter is pinned here.)
-  auto Again = runOnce(P, Args, dweGateConfig(/*Gate=*/50));
-  ASSERT_TRUE(Again->Res.Ok) << Again->Res.Error;
-  EXPECT_EQ(Again->Res.Trace.DWEGated, 0u);
-  EXPECT_GE(Again->Res.Trace.Enters, 1u);
-  EXPECT_EQ(Ref->Res.ReturnValue, Again->Res.ReturnValue);
-  EXPECT_TRUE(Ref->Res.Counts == Again->Res.Counts);
-  expectSameCounters(Ref->Prof, Again->Prof, "gate on, second run");
-}
-
 // Concurrent trace installation: many interpreters over one module share
 // one ExecPlan (and thus one PlanTraceCache). All of them racing to record
 // and install traces for the same anchors must stay data-race-free (the
