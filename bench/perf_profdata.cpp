@@ -36,7 +36,7 @@
 #include "profdata/Merge.h"
 #include "profdata/ProfData.h"
 #include "profile/Instrumenter.h"
-#include "support/BenchJson.h"
+#include "BenchJson.h"
 #include "support/Saturate.h"
 #include "support/TableWriter.h"
 #include "workloads/Workloads.h"

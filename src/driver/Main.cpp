@@ -28,7 +28,6 @@
 #include "estimate/Estimators.h"
 #include "frontend/Compiler.h"
 #include "fuzz/Fuzzer.h"
-#include "interp/ShardedProfile.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "opt/Optimizer.h"
@@ -39,7 +38,6 @@
 #include "profile/ProfileDecode.h"
 #include "serve/Server.h"
 #include "serve/ServeBench.h"
-#include "support/BenchJson.h"
 #include "support/Format.h"
 #include "support/TableWriter.h"
 #include "support/TaskPool.h"
@@ -51,11 +49,8 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -133,16 +128,6 @@ int usage() {
       "                      default 1); the report is identical for any N\n"
       "       --shrink       minimize failing programs before reporting\n"
       "       --json         emit findings as JSON diagnostics\n"
-      "  olpp bench [name] [--jobs N] [--smoke] [--out FILE]\n"
-      "       run the workload suite under the fast and reference engines\n"
-      "       in parallel and write a BENCH_engine.json report\n"
-      "       --jobs N       worker threads (0 = all cores, default 1)\n"
-      "       --smoke        3 small workloads on cheap inputs\n"
-      "       --out FILE     report path (default BENCH_engine.json)\n"
-      "       --validate FILE  only check FILE against the report schema\n"
-      "       --emit-profdata DIR  write one .olpp artifact per counter\n"
-      "                      shard plus the merged artifact, and cross-check\n"
-      "                      artifact-level merge against the in-memory one\n"
       "  olpp serve [--port P] [--jobs N] [--shards K]\n"
       "       long-lived aggregation daemon: accepts streamed .olpp uploads\n"
       "       over a length-prefixed framed socket protocol, validates each\n"
@@ -160,11 +145,11 @@ int usage() {
       "       each) and verifies the final snapshot is bit-identical to an\n"
       "       offline merge of exactly the acked uploads\n"
       "\n"
-      "run and bench accept --profile FILE to pre-heat the tracing tier\n"
+      "run accepts --profile FILE to pre-heat the tracing tier\n"
       "from a matching .olpp artifact (hot paths recorded without warmup;\n"
       "the run is instrumented under the artifact's recorded mode).\n"
       "\n"
-      "run/profile/estimate/bench accept --engine fast|reference to select\n"
+      "run/profile/estimate accept --engine fast|reference to select\n"
       "the execution engine (default: fast). The fast engine's tracing tier\n"
       "takes --trace-threshold N (completions before a hot path is recorded,\n"
       "default 32; 0 = record on the first completion), --no-traces\n"
@@ -217,24 +202,21 @@ struct Parsed {
   uint32_t TraceLinkThreshold = 0; ///< --trace-link-threshold (0 = no bridges)
   bool HasTraceLinkThreshold = false;
   bool NoTraceOpt = false; ///< --no-trace-opt: run compiled traces verbatim
-  unsigned Jobs = 1; ///< bench/fuzz worker threads; 0 = one per core
-  bool Smoke = false;
+  unsigned Jobs = 1; ///< fuzz/serve worker threads; 0 = one per core
   uint32_t Seeds = 100;    ///< fuzz: number of master seeds
   uint64_t FuzzSeed = 0;   ///< fuzz: single replay seed (--seed)
   bool HasFuzzSeed = false;
   bool Shrink = false;
   /// Unified -o/--out/--output destination; each command supplies its own
-  /// default when empty (bench: BENCH_engine.json, export: stdout).
+  /// default when empty (export: stdout).
   std::string Out;
-  std::string Validate;
   bool Json = false;          ///< machine-readable output (composes with -o)
   uint64_t Weight = 1;        ///< profdata merge --weight
-  std::string FromProfile;    ///< estimate/opt/run/bench --profile FILE
+  std::string FromProfile;    ///< estimate/opt/run --profile FILE
   bool EmitIr = false;        ///< opt --emit-ir
   bool Feasibility = false;   ///< estimate --feasibility
   std::string ModuleFile;     ///< profdata show --module FILE
   bool NoBounds = false;      ///< profdata show --no-bounds
-  std::string EmitProfdata;   ///< bench --emit-profdata DIR
   std::string Host = "127.0.0.1"; ///< serve-bench --host
   int Port = -1;                  ///< serve/serve-bench --port (0 = ephemeral)
   unsigned Clients = 16;          ///< serve-bench --clients
@@ -310,8 +292,6 @@ Parsed parseArgs(int Argc, char **Argv, int Start) {
       P.NoVerify = true;
     } else if ((A == "--jobs" || A == "-j") && I + 1 < Argc) {
       P.Jobs = static_cast<unsigned>(std::atoi(Argv[++I]));
-    } else if (A == "--smoke") {
-      P.Smoke = true;
     } else if (A == "--seeds" && I + 1 < Argc) {
       P.Seeds = static_cast<uint32_t>(std::atoi(Argv[++I]));
     } else if (A == "--seed" && I + 1 < Argc) {
@@ -322,8 +302,6 @@ Parsed parseArgs(int Argc, char **Argv, int Start) {
     } else if ((A == "--out" || A == "--output" || A == "-o") &&
                I + 1 < Argc) {
       P.Out = Argv[++I];
-    } else if (A == "--validate" && I + 1 < Argc) {
-      P.Validate = Argv[++I];
     } else if (A == "--weight" && I + 1 < Argc) {
       P.Weight = std::strtoull(Argv[++I], nullptr, 10);
     } else if (A == "--profile" && I + 1 < Argc) {
@@ -336,8 +314,6 @@ Parsed parseArgs(int Argc, char **Argv, int Start) {
       P.ModuleFile = Argv[++I];
     } else if (A == "--no-bounds") {
       P.NoBounds = true;
-    } else if (A == "--emit-profdata" && I + 1 < Argc) {
-      P.EmitProfdata = Argv[++I];
     } else if (A.rfind("--", 0) == 0) {
       P.Bad = true; // unknown option (or one missing its value)
     } else if (P.File.empty()) {
@@ -403,7 +379,7 @@ int cmdRunSeeded(const Parsed &P) {
   }
   auto M = compileOrFail(P.File);
   if (!M)
-    return 1;
+    return 2;
   ArtifactBinding B;
   if (!bindArtifactToModule(*M, A, B, Diags)) {
     std::fputs(renderDiagnosticsText(Diags).c_str(), stderr);
@@ -449,7 +425,7 @@ int cmdRun(const Parsed &P) {
     return cmdRunSeeded(P);
   auto M = compileOrFail(P.File);
   if (!M)
-    return 1;
+    return 2;
   const Function *Main = M->findFunction("main");
   if (!Main) {
     std::fprintf(stderr, "error: no 'main' function\n");
@@ -475,7 +451,7 @@ int cmdRun(const Parsed &P) {
 int cmdIr(const Parsed &P) {
   auto M = compileOrFail(P.File);
   if (!M)
-    return 1;
+    return 2;
   std::fputs(printModule(*M).c_str(), stdout);
   return 0;
 }
@@ -510,7 +486,7 @@ void emitLintFindings(const Parsed &P, const std::vector<Diagnostic> &Diags) {
 int cmdProfile(const Parsed &P) {
   auto M = compileOrFail(P.File);
   if (!M)
-    return 1;
+    return 2;
   PipelineResult R = runPipelineFor(P, *M, /*Overlap=*/true);
   if (P.Lint)
     emitLintFindings(P, R.Lint);
@@ -595,7 +571,7 @@ int cmdEstimateFromProfile(const Parsed &P) {
   }
   auto M = compileOrFail(P.File);
   if (!M)
-    return 1;
+    return 2;
   ArtifactBinding B;
   if (!bindArtifactToModule(*M, A, B, Diags)) {
     std::fputs(renderDiagnosticsText(Diags).c_str(), stderr);
@@ -671,7 +647,7 @@ int cmdEstimate(const Parsed &P) {
     return cmdEstimateFromProfile(P);
   auto M = compileOrFail(P.File);
   if (!M)
-    return 1;
+    return 2;
   Parsed P2 = P;
   P2.Interproc = true; // estimation shows both dimensions
   PipelineResult R = runPipelineFor(P2, *M, /*Overlap=*/true);
@@ -766,7 +742,7 @@ int cmdOpt(const Parsed &P) {
   }
   auto M = compileOrFail(P.File);
   if (!M)
-    return 1;
+    return 2;
 
   OptOptions OO;
   OptResult R;
@@ -914,7 +890,7 @@ int cmdOpt(const Parsed &P) {
 int cmdAnalyze(const Parsed &P) {
   auto M = compileOrFail(P.File);
   if (!M)
-    return 1;
+    return 2;
   ModuleSummaries Sums = computeSummaries(*M);
 
   struct Row {
@@ -1271,459 +1247,6 @@ int cmdProfdata(const std::string &Sub, const Parsed &P) {
   return usage();
 }
 
-//===----------------------------------------------------------------------===//
-// olpp bench: parallel engine benchmark over the workload suite
-//===----------------------------------------------------------------------===//
-
-double secondsSince(std::chrono::steady_clock::time_point T0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-      .count();
-}
-
-/// One workload prepared for benching: its instrumented module plus the
-/// metadata needed to run, check and estimate it.
-struct BenchItem {
-  const Workload *W = nullptr;
-  std::unique_ptr<Module> M; // instrumented in place
-  ModuleInstrumentation MI;
-  std::vector<int64_t> Args;
-  WorkloadBench Row;
-  int64_t ReturnValue = 0;
-  std::string Error; // non-empty: the item failed
-};
-
-/// Configures \p Prof's dense path stores from \p MI.
-void configureStores(ProfileRuntime &Prof, const Module &M,
-                     const ModuleInstrumentation &MI) {
-  for (uint32_t F = 0; F < M.numFunctions(); ++F)
-    if (MI.Funcs[F].PG)
-      Prof.configurePathStore(F, MI.Funcs[F].PG->numPaths());
-}
-
-/// Compiles, instruments, times both engines, cross-checks them, and runs
-/// the estimation stack under both solvers. Returns false on failure with
-/// Item.Error set.
-bool benchOneWorkload(BenchItem &Item, const Parsed &P) {
-  const bool Smoke = P.Smoke;
-  CompileResult CR = compileMiniC(Item.W->Source);
-  if (!CR.ok()) {
-    Item.Error = "compile failed:\n" + CR.diagText();
-    return false;
-  }
-  Item.M = std::move(CR.M);
-
-  InstrumentOptions Opts;
-  Opts.LoopOverlap = true;
-  Opts.LoopDegree = 2;
-  Opts.Interproc = true;
-  Opts.InterprocDegree = 2;
-  Item.MI = instrumentModule(*Item.M, Opts);
-  if (!Item.MI.ok()) {
-    Item.Error = "instrumentation failed: " + Item.MI.Errors[0];
-    return false;
-  }
-
-  const Function *Main = Item.M->findFunction("main");
-  if (!Main) {
-    Item.Error = "no 'main' function";
-    return false;
-  }
-  Item.Args = Smoke ? Item.W->PrecisionArgs : Item.W->OverheadArgs;
-  Item.Args.resize(Main->NumParams, 0);
-
-  RunConfig RC;
-  RC.MaxSteps = 2'000'000'000;
-  applyTraceOpts(RC, P);
-
-  auto TimedRun = [&](EngineKind E, ProfileRuntime &Prof, EngineSample &S,
-                      RunResult &Out) {
-    Interpreter I(*Item.M, &Prof);
-    RC.Engine = E;
-    auto T0 = std::chrono::steady_clock::now();
-    Out = I.run(*Main, Item.Args, RC);
-    S.WallSeconds = secondsSince(T0);
-    S.Steps = Out.Counts.Steps;
-    S.StepsPerSec = S.WallSeconds > 0
-                        ? static_cast<double>(S.Steps) / S.WallSeconds
-                        : 0.0;
-    if (!Out.Ok)
-      Item.Error = std::string(engineKindName(E)) + " run failed: " +
-                   Out.Error;
-    return Out.Ok;
-  };
-
-  ProfileRuntime ProfRef(Item.M->numFunctions());
-  ProfileRuntime ProfFast(Item.M->numFunctions());
-  configureStores(ProfRef, *Item.M, Item.MI);
-  configureStores(ProfFast, *Item.M, Item.MI);
-
-  // --profile: pre-heat the fast engine's tracing tier from a persisted
-  // artifact so hot paths record without warmup. The artifact names one
-  // module; workloads it does not match simply run unseeded (the bind
-  // failure is expected, not an error). Only the fast runtime is seeded:
-  // the reference engine has no tracing tier, and traces never change
-  // counters, so the cross-checks below still hold.
-  if (!P.FromProfile.empty()) {
-    ProfileArtifact Art;
-    std::vector<Diagnostic> ArtDiags;
-    CompileResult Pristine = compileMiniC(Item.W->Source);
-    ArtifactBinding Bind;
-    if (readProfileArtifactFile(P.FromProfile, Art, ArtDiags) &&
-        Pristine.ok() &&
-        bindArtifactToModule(*Pristine.M, Art, Bind, ArtDiags))
-      seedTraceTier(ProfFast, collectHotLoopPaths(Art, Bind.MI,
-                                                  /*MinCount=*/1,
-                                                  /*MaxSeeds=*/64));
-  }
-
-  RunResult RRef, RFast;
-  if (!TimedRun(EngineKind::Reference, ProfRef, Item.Row.Reference, RRef) ||
-      !TimedRun(EngineKind::Fast, ProfFast, Item.Row.Fast, RFast))
-    return false;
-  Item.ReturnValue = RFast.ReturnValue;
-
-  // The harness double-checks observation equivalence on every batch: the
-  // engines must agree on the result, the cost model and every counter.
-  if (!(RRef.Counts == RFast.Counts) ||
-      RRef.ReturnValue != RFast.ReturnValue) {
-    Item.Error = "engines disagree on DynCounts or the result";
-    return false;
-  }
-  for (uint32_t F = 0; F < Item.M->numFunctions(); ++F)
-    if (ProfRef.PathCounts[F] != ProfFast.PathCounts[F]) {
-      Item.Error = "engines disagree on path counters of function " +
-                   Item.M->function(F)->Name;
-      return false;
-    }
-  if (ProfRef.TypeICounts != ProfFast.TypeICounts ||
-      ProfRef.TypeIICounts != ProfFast.TypeIICounts) {
-    Item.Error = "engines disagree on interprocedural counters";
-    return false;
-  }
-  Item.Row.Speedup =
-      Item.Row.Reference.WallSeconds > 0 && Item.Row.Fast.WallSeconds > 0
-          ? Item.Row.Reference.WallSeconds / Item.Row.Fast.WallSeconds
-          : 0.0;
-
-  // Tracing-tier activity of the (single) fast run.
-  Item.Row.TracesRecorded = RFast.Trace.Recorded;
-  Item.Row.TraceStepPercent =
-      RFast.Counts.Steps > 0
-          ? 100.0 * static_cast<double>(RFast.Trace.TraceSteps) /
-                static_cast<double>(RFast.Counts.Steps)
-          : 0.0;
-  Item.Row.DeoptRate = RFast.Trace.Enters > 0
-                           ? static_cast<double>(RFast.Trace.Deopts) /
-                                 static_cast<double>(RFast.Trace.Enters)
-                           : 0.0;
-
-  // Interval-solver effort, worklist vs the sweep oracle, on the real
-  // estimation systems of this workload's profile.
-  ModuleEstimator Est(*Item.M, Item.MI, ProfFast);
-  auto RunSolvers = [&](SolverImpl Impl) {
-    setThreadSolverImpl(Impl);
-    EstimateMetrics Met = Est.estimateLoops(nullptr);
-    if (Item.MI.Opts.CallBreaking) {
-      Met.add(Est.estimateTypeI(nullptr));
-      Met.add(Est.estimateTypeII(nullptr));
-    }
-    setThreadSolverImpl(SolverImpl::Worklist);
-    return Met;
-  };
-  EstimateMetrics Worklist = RunSolvers(SolverImpl::Worklist);
-  EstimateMetrics Sweep = RunSolvers(SolverImpl::Sweep);
-  Item.Row.SolverEvaluationsWorklist = Worklist.SolverEvaluations;
-  Item.Row.SolverEvaluationsSweep = Sweep.SolverEvaluations;
-  Item.Row.SolverConverged = Worklist.SolverConverged && Sweep.SolverConverged;
-  if (Worklist.Definite != Sweep.Definite ||
-      Worklist.Potential != Sweep.Potential ||
-      Worklist.ExactPairs != Sweep.ExactPairs) {
-    Item.Error = "worklist and sweep solvers disagree on the bounds";
-    return false;
-  }
-  return true;
-}
-
-/// Re-profiles \p Item Reps times across a task pool, each worker slot
-/// owning a private counter shard (interp/ShardedProfile.h), tree-merges
-/// the shards at the end and verifies the result against the single-run
-/// profile. With a non-empty \p EmitDir, every shard is also serialized as
-/// its own .olpp artifact (before the merge clears it), the artifacts are
-/// merged at the artifact level and cross-checked bit-for-bit against the
-/// in-memory merge, and the merged artifact is written and read back.
-/// Returns false with Item.Error set on any mismatch.
-bool benchParallelMerge(BenchItem &Item, unsigned Jobs, unsigned Reps,
-                        const std::string &EmitDir) {
-  const Function *Main = Item.M->findFunction("main");
-  unsigned Workers = Jobs == 0 ? defaultJobCount() : Jobs;
-  if (Workers > Reps)
-    Workers = Reps; // no point owning a shard that never counts
-  TaskPool Pool(Workers);
-  ShardedProfile Shards(Item.M->numFunctions(), Workers);
-  for (unsigned T = 0; T < Workers; ++T)
-    configureStores(Shards.shard(T), *Item.M, Item.MI);
-
-  RunConfig RC;
-  RC.MaxSteps = 2'000'000'000;
-  std::mutex ErrorMu;
-  std::vector<uint64_t> SlotRuns(Workers, 0), SlotSteps(Workers, 0);
-  // Slot (not thread) identity indexes the shard: parallelFor guarantees a
-  // slot never runs concurrently with itself, so each shard has exactly one
-  // writer and the probe hot path stays free of atomics.
-  Pool.parallelFor(Reps, [&](size_t, unsigned Slot) {
-    Interpreter I(*Item.M, &Shards.shard(Slot));
-    RunResult R = I.run(*Main, Item.Args, RC);
-    SlotRuns[Slot] += 1;
-    SlotSteps[Slot] += R.Counts.Steps;
-    if (!R.Ok || R.ReturnValue != Item.ReturnValue) {
-      std::lock_guard<std::mutex> Lock(ErrorMu);
-      Item.Error = "parallel batch run failed: " +
-                   (R.Ok ? "result mismatch" : R.Error);
-    }
-  });
-  if (!Item.Error.empty())
-    return false;
-
-  // Shard artifacts must be emitted now: merge() below clears the shards
-  // it folds away. The fingerprint comes from a pristine recompile — Item.M
-  // was instrumented in place, and an artifact names the program a later
-  // `profdata show --module` will bind against.
-  std::vector<ProfileArtifact> ShardArts;
-  std::unique_ptr<Module> Pristine;
-  uint64_t Stamp = 0;
-  if (!EmitDir.empty()) {
-    std::error_code EC;
-    std::filesystem::create_directories(EmitDir, EC);
-    if (EC) {
-      Item.Error = "cannot create '" + EmitDir + "': " + EC.message();
-      return false;
-    }
-    CompileResult CR = compileMiniC(Item.W->Source);
-    if (!CR.ok()) {
-      Item.Error = "recompile for artifact emission failed";
-      return false;
-    }
-    Pristine = std::move(CR.M);
-    Stamp = static_cast<uint64_t>(std::time(nullptr));
-    for (unsigned T = 0; T < Workers; ++T) {
-      RunMeta Meta;
-      Meta.Workload = Item.W->Name;
-      Meta.Runs = SlotRuns[T];
-      Meta.DynInstrCost = SlotSteps[T];
-      Meta.TimestampUnix = Stamp;
-      ShardArts.push_back(ProfileArtifact::fromRuntime(
-          *Pristine, Item.MI, Shards.shard(T), Meta));
-      std::string Path = EmitDir + "/" + Item.W->Name + ".shard" +
-                         std::to_string(T) + ".olpp";
-      std::string Error;
-      if (!writeProfileArtifactFile(Path, ShardArts.back(), Error)) {
-        Item.Error = Error;
-        return false;
-      }
-    }
-  }
-
-  ProfileRuntime &Merged = Shards.merge(&Pool);
-
-  if (!EmitDir.empty()) {
-    // Merging the per-shard artifacts must be bit-identical to the
-    // in-memory tree merge of the shards themselves.
-    std::vector<Diagnostic> Diags;
-    ProfileArtifact Acc = makeEmptyLike(ShardArts[0]);
-    for (const ProfileArtifact &SA : ShardArts)
-      if (!mergeArtifacts(Acc, SA, Diags)) {
-        Item.Error = "artifact merge rejected: " + Diags[0].Message;
-        return false;
-      }
-    uint64_t TotalSteps = 0;
-    for (uint64_t S : SlotSteps)
-      TotalSteps += S;
-    RunMeta Meta;
-    Meta.Workload = Item.W->Name;
-    Meta.Runs = Reps;
-    Meta.DynInstrCost = TotalSteps;
-    Meta.TimestampUnix = Stamp;
-    ProfileArtifact FromMemory =
-        ProfileArtifact::fromRuntime(*Pristine, Item.MI, Merged, Meta);
-    std::string FirstDiff;
-    if (!artifactsEqual(Acc, FromMemory, &FirstDiff)) {
-      Item.Error =
-          "artifact-level merge diverges from in-memory merge: " + FirstDiff;
-      return false;
-    }
-    std::string Path = EmitDir + "/" + Item.W->Name + ".olpp";
-    std::string Error;
-    if (!writeProfileArtifactFile(Path, Acc, Error)) {
-      Item.Error = Error;
-      return false;
-    }
-    ProfileArtifact Back;
-    if (!readProfileArtifactFile(Path, Back, Diags) ||
-        !artifactsEqual(Acc, Back, &FirstDiff)) {
-      Item.Error = "merged artifact failed read-back: " +
-                   (FirstDiff.empty() ? "decode rejected" : FirstDiff);
-      return false;
-    }
-  }
-
-  // Runs are deterministic, so the merged profile must be exactly Reps
-  // times the single-run profile — clamped where the sum saturates, which
-  // is what Reps saturating adds of C converge to.
-  auto Scaled = [&](uint64_t C) {
-    constexpr uint64_t Max = std::numeric_limits<uint64_t>::max();
-    return C != 0 && C > Max / Reps ? Max : C * Reps;
-  };
-  ProfileRuntime Single(Item.M->numFunctions());
-  configureStores(Single, *Item.M, Item.MI);
-  {
-    Interpreter I(*Item.M, &Single);
-    RunResult R = I.run(*Main, Item.Args, RC);
-    if (!R.Ok) {
-      Item.Error = "merge-check run failed: " + R.Error;
-      return false;
-    }
-  }
-  for (uint32_t F = 0; F < Item.M->numFunctions(); ++F) {
-    if (Merged.PathCounts[F].size() != Single.PathCounts[F].size()) {
-      Item.Error = "merged profile has wrong path-counter support";
-      return false;
-    }
-    for (const auto &[Id, Count] : Single.PathCounts[F])
-      if (Merged.PathCounts[F].lookup(Id) != Scaled(Count)) {
-        Item.Error = "merged path counter mismatch in function " +
-                     Item.M->function(F)->Name;
-        return false;
-      }
-  }
-  for (const auto &[Key, Count] : Single.TypeICounts)
-    if (Merged.TypeICounts.lookup(Key) != Scaled(Count)) {
-      Item.Error = "merged Type I counter mismatch";
-      return false;
-    }
-  for (const auto &[Key, Count] : Single.TypeIICounts)
-    if (Merged.TypeIICounts.lookup(Key) != Scaled(Count)) {
-      Item.Error = "merged Type II counter mismatch";
-      return false;
-    }
-  if (Merged.TypeICounts.size() != Single.TypeICounts.size() ||
-      Merged.TypeIICounts.size() != Single.TypeIICounts.size()) {
-    Item.Error = "merged interprocedural support mismatch";
-    return false;
-  }
-  return true;
-}
-
-int cmdBench(const Parsed &P) {
-  if (!P.Validate.empty()) {
-    std::string Text;
-    if (!readSource(P.Validate, Text))
-      return 1;
-    std::string Error;
-    // Sniffs the schema tag: accepts any of the six report schemas.
-    if (!validateBenchJson(Text, Error)) {
-      std::fprintf(stderr, "%s: invalid: %s\n", P.Validate.c_str(),
-                   Error.c_str());
-      return 1;
-    }
-    const char *Schema = EngineBenchSchema;
-    for (const char *Tag : {PipelineBenchSchema, ProfdataBenchSchema,
-                            AnalyzeBenchSchema, OptBenchSchema,
-                            ServeBenchSchema})
-      if (Text.find(Tag) != std::string::npos)
-        Schema = Tag;
-    std::printf("%s: valid %s report\n", P.Validate.c_str(), Schema);
-    return 0;
-  }
-
-  static const char *SmokeSet[] = {"mcf", "li", "go"};
-  std::vector<BenchItem> Items;
-  for (const Workload &W : allWorkloads()) {
-    if (!P.File.empty() && W.Name != P.File)
-      continue;
-    if (P.Smoke &&
-        std::find_if(std::begin(SmokeSet), std::end(SmokeSet),
-                     [&](const char *N) { return W.Name == N; }) ==
-            std::end(SmokeSet))
-      continue;
-    BenchItem Item;
-    Item.W = &W;
-    Item.Row.Name = W.Name;
-    Items.push_back(std::move(Item));
-  }
-  if (Items.empty()) {
-    std::fprintf(stderr, "error: no workload matches '%s'\n",
-                 P.File.c_str());
-    return 1;
-  }
-
-  unsigned Jobs = P.Jobs == 0 ? defaultJobCount() : P.Jobs;
-  std::printf("benching %zu workload(s) on %u thread(s)...\n", Items.size(),
-              Jobs);
-  auto T0 = std::chrono::steady_clock::now();
-
-  // Phase 1: each workload measured under both engines, in parallel.
-  TaskPool(Jobs).parallelFor(
-      Items.size(), [&](size_t I, unsigned) { benchOneWorkload(Items[I], P); });
-  for (const BenchItem &Item : Items)
-    if (!Item.Error.empty()) {
-      std::fprintf(stderr, "error: workload %s: %s\n", Item.W->Name.c_str(),
-                   Item.Error.c_str());
-      return 1;
-    }
-
-  // Phase 2: parallel profile collection with per-thread runtimes, merged
-  // at the end and checked against a single sequential run.
-  unsigned Reps = std::max(2u, std::min(Jobs, 4u));
-  for (BenchItem &Item : Items)
-    if (!benchParallelMerge(Item, Jobs, Reps, P.EmitProfdata)) {
-      std::fprintf(stderr, "error: workload %s: %s\n", Item.W->Name.c_str(),
-                   Item.Error.c_str());
-      return 1;
-    }
-
-  EngineBenchReport Report;
-  Report.Jobs = Jobs;
-  Report.WallSeconds = secondsSince(T0);
-  for (BenchItem &Item : Items)
-    Report.Workloads.push_back(std::move(Item.Row));
-
-  TableWriter T({"Workload", "Ref steps/s", "Fast steps/s", "Speedup",
-                 "Traces", "Trace steps", "Solver evals (worklist/sweep)"});
-  for (const WorkloadBench &W : Report.Workloads) {
-    char RefS[32], FastS[32], Sp[32], TrPct[32];
-    std::snprintf(RefS, sizeof(RefS), "%.3g", W.Reference.StepsPerSec);
-    std::snprintf(FastS, sizeof(FastS), "%.3g", W.Fast.StepsPerSec);
-    std::snprintf(Sp, sizeof(Sp), "%.2fx", W.Speedup);
-    std::snprintf(TrPct, sizeof(TrPct), "%.1f%%", W.TraceStepPercent);
-    T.addRow({W.Name, RefS, FastS, Sp, std::to_string(W.TracesRecorded),
-              TrPct,
-              std::to_string(W.SolverEvaluationsWorklist) + "/" +
-                  std::to_string(W.SolverEvaluationsSweep)});
-  }
-  std::fputs(T.renderText().c_str(), stdout);
-  std::printf("geomean speedup %.2fx, batch wall %.2fs\n",
-              Report.geomeanSpeedup(), Report.WallSeconds);
-
-  if (!P.EmitProfdata.empty())
-    std::printf("wrote per-shard and merged .olpp artifacts to %s\n",
-                P.EmitProfdata.c_str());
-
-  const std::string OutPath = P.Out.empty() ? "BENCH_engine.json" : P.Out;
-  std::string Error;
-  if (!writeEngineBenchJson(OutPath, Report, Error)) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 1;
-  }
-  std::string Rendered = renderEngineBenchJson(Report);
-  if (!validateEngineBenchJson(Rendered, Error)) {
-    std::fprintf(stderr, "internal error: emitted report is invalid: %s\n",
-                 Error.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", OutPath.c_str());
-  return 0;
-}
-
 int cmdFuzz(const Parsed &P) {
   FuzzOptions FO;
   FO.NumSeeds = P.Seeds;
@@ -1896,8 +1419,6 @@ int main(int Argc, char **Argv) {
     return PD.Bad ? usage() : cmdProfdata(Argv[2], PD);
   }
   Parsed P = parseArgs(Argc, Argv, 2);
-  if (Cmd == "bench")
-    return P.Bad ? usage() : cmdBench(P);
   if (Cmd == "fuzz")
     return P.Bad ? usage() : cmdFuzz(P);
   if (Cmd == "serve")

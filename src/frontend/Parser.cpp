@@ -7,6 +7,7 @@
 #include "frontend/Parser.h"
 
 #include <cassert>
+#include <string>
 
 using namespace olpp;
 
@@ -38,7 +39,20 @@ bool Parser::expect(TokKind K, const char *Context) {
 }
 
 void Parser::error(const std::string &Msg) {
-  Diags.push_back({Cur.Line, Cur.Col, Msg});
+  if (!TooDeep)
+    Diags.push_back({Cur.Line, Cur.Col, Msg});
+}
+
+bool Parser::NestingGuard::deepen() {
+  ++Levels;
+  if (++P.Depth > MaxNestingDepth && !P.TooDeep) {
+    P.error("nesting deeper than " + std::to_string(MaxNestingDepth) +
+            " levels");
+    P.TooDeep = true;
+    while (!P.at(TokKind::Eof))
+      P.bump();
+  }
+  return !P.TooDeep;
 }
 
 void Parser::syncToDeclBoundary() {
@@ -148,6 +162,9 @@ void Parser::parseFunction(Program &P) {
 }
 
 StmtPtr Parser::parseBlock() {
+  NestingGuard Nest(*this);
+  if (!Nest.deepen())
+    return nullptr;
   auto B = std::make_unique<Stmt>();
   B->K = Stmt::Kind::Block;
   B->Line = Cur.Line;
@@ -175,6 +192,9 @@ StmtPtr Parser::parseBlock() {
 }
 
 StmtPtr Parser::parseStmt() {
+  NestingGuard Nest(*this);
+  if (!Nest.deepen())
+    return nullptr;
   auto Make = [&](Stmt::Kind K) {
     auto S = std::make_unique<Stmt>();
     S->K = K;
@@ -459,9 +479,10 @@ ExprPtr Parser::parseExpr() { return parseBinaryRhs(0, parseUnary()); }
 ExprPtr Parser::parseBinaryRhs(int MinPrec, ExprPtr Lhs) {
   if (!Lhs)
     return Lhs;
+  NestingGuard Nest(*this);
   while (true) {
     int Prec = precedenceOf(Cur.Kind);
-    if (Prec < MinPrec || Prec < 0)
+    if (Prec < MinPrec || Prec < 0 || !Nest.deepen())
       return Lhs;
     TokKind OpTok = Cur.Kind;
     uint32_t Line = Cur.Line, Col = Cur.Col;
@@ -484,6 +505,9 @@ ExprPtr Parser::parseBinaryRhs(int MinPrec, ExprPtr Lhs) {
 }
 
 ExprPtr Parser::parseUnary() {
+  NestingGuard Nest(*this);
+  if (!Nest.deepen())
+    return nullptr;
   if (at(TokKind::Amp)) {
     // &name: the named function's id as a first-class value.
     auto Node = std::make_unique<Expr>();

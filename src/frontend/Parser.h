@@ -20,6 +20,11 @@
 
 namespace olpp {
 
+/// Deepest statement-plus-expression nesting the parser accepts. Parsing
+/// (and every pass that walks the AST) recurses once per level, so deeper
+/// input gets a diagnostic instead of overflowing the stack.
+inline constexpr unsigned MaxNestingDepth = 1000;
+
 class Parser {
 public:
   explicit Parser(std::string_view Source);
@@ -40,6 +45,25 @@ private:
   void syncToDeclBoundary();
   void syncToStmtBoundary();
 
+  /// Holds levels of nesting for one production: a block, a statement, a
+  /// unary expression, or each operator folded into a binary chain (which
+  /// deepens the left spine of the tree). Past MaxNestingDepth, deepen() reports
+  /// once, skips the rest of the input and silences later diagnostics, so
+  /// the parse unwinds at once.
+  class NestingGuard {
+  public:
+    explicit NestingGuard(Parser &P) : P(P) {}
+    NestingGuard(const NestingGuard &) = delete;
+    NestingGuard &operator=(const NestingGuard &) = delete;
+    ~NestingGuard() { P.Depth -= Levels; }
+    /// Holds one more level. False once the input is too deep.
+    bool deepen();
+
+  private:
+    Parser &P;
+    unsigned Levels = 0;
+  };
+
   // Grammar productions.
   void parseGlobal(Program &P);
   void parseFunction(Program &P);
@@ -55,6 +79,8 @@ private:
   Token Cur;
   std::vector<Diag> Diags;
   uint64_t TokensConsumed = 0;
+  unsigned Depth = 0;
+  bool TooDeep = false;
 };
 
 } // namespace olpp

@@ -6,7 +6,9 @@
 
 #include "frontend/Sema.h"
 
+#include <algorithm>
 #include <cassert>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -21,10 +23,20 @@ public:
   std::vector<Diag> run() {
     // Global symbol tables; variables and functions live in separate
     // namespaces (a call always resolves against functions).
+    uint64_t Elements = 0;
     for (uint32_t G = 0; G < P.Globals.size(); ++G) {
       const GlobalDecl &GD = P.Globals[G];
       if (!GlobalIds.emplace(GD.Name, G).second)
         error(GD.Line, GD.Col, "redefinition of global '" + GD.Name + "'");
+      // Reported once, at the global that crosses the cap; the min keeps
+      // the sum from wrapping.
+      if (Elements <= MaxGlobalElements) {
+        Elements += std::min(GD.Size, MaxGlobalElements + 1);
+        if (Elements > MaxGlobalElements)
+          error(GD.Line, GD.Col,
+                "global '" + GD.Name + "' takes the globals past " +
+                    std::to_string(MaxGlobalElements) + " elements in total");
+      }
     }
     for (uint32_t F = 0; F < P.Funcs.size(); ++F) {
       const FuncDecl &FD = P.Funcs[F];

@@ -21,6 +21,12 @@ namespace olpp {
 
 /// Checks and annotates \p P in place. Returns the diagnostics; empty means
 /// the program is well-formed and ready for lowering.
+/// Cap on the elements of all globals together. The interpreter allocates
+/// every global up front, so a declaration past this cap is a compile error
+/// rather than an allocation failure at run time. The largest array in the
+/// embedded workloads has 1,024 elements.
+inline constexpr uint64_t MaxGlobalElements = uint64_t(1) << 22;
+
 std::vector<Diag> checkProgram(Program &P);
 
 } // namespace olpp

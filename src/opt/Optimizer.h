@@ -35,7 +35,7 @@
 /// The third consumer of the artifact lives here too: collectHotLoopPaths /
 /// seedTraceTier pre-heat the execution tier's hotness table
 /// (ProfileRuntime::TraceTierState) from the persisted counters, so
-/// `olpp run` / `olpp bench` given `--profile` arm trace recording on the
+/// `olpp run` given `--profile` arms trace recording on the
 /// first live completion instead of re-measuring heat over a warmup run.
 ///
 //===----------------------------------------------------------------------===//

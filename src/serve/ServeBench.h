@@ -7,8 +7,7 @@
 // with a SNAPSHOT and proves the bit-identity contract: the snapshot must
 // equal the offline fold of exactly the uploads acked with tag <= epoch.
 //
-// Used by `olpp serve-bench` and by bench/perf_serve (which turns the
-// latency samples into the committed BENCH_serve.json).
+// Used by `olpp serve-bench`.
 //
 //===----------------------------------------------------------------------===//
 #ifndef OLPP_SERVE_SERVEBENCH_H

@@ -20,7 +20,7 @@
 //
 // bit-identically (PR 5 proved the merge algebra associative, commutative
 // and order-independent, and metadata folds commutatively), which is the
-// property bench/perf_serve's bit-identity gate and fuzz oracle 11 check
+// property `olpp serve-bench`'s bit-identity gate and fuzz oracle 11 check
 // against an offline `profdata merge` fold.
 //
 // Malformed uploads are rejected by the checked reader before any lock is

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// A persistent work-stealing task pool: the one concurrency primitive
-/// behind the parallel profiling pipeline (sharded bench collection,
-/// `olpp bench --jobs`, `olpp fuzz --jobs`). Workers stay alive, so
+/// behind the parallel profiling pipeline (sharded profile merges,
+/// `olpp serve --jobs`, `olpp fuzz --jobs`). Workers stay alive, so
 /// fine-grained work (one fuzz seed, one batch run) can be submitted
 /// without paying thread start-up per item.
 ///

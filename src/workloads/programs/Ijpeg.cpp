@@ -8,7 +8,7 @@
 // proven range, and a flag assigned under one predicate and branched on
 // again later — so a static feasibility pass has real acyclic paths to
 // prove dead (the others' LCG-driven branch mixes leave almost nothing
-// provable). The suite's exemplar for `olpp analyze` and bench/perf_analyze.
+// provable). The suite's exemplar for `olpp analyze`.
 //
 //===----------------------------------------------------------------------===//
 

@@ -6,6 +6,11 @@
 
 #include "analysis/Feasibility.h"
 #include "analysis/Summary.h"
+#include "estimate/Estimators.h"
+#include "interp/Interpreter.h"
+#include "profile/InfeasiblePaths.h"
+#include "profile/Instrumenter.h"
+#include "workloads/Workloads.h"
 
 #include "../TestUtil.h"
 
@@ -156,4 +161,53 @@ TEST(Feasibility, GlobalsSurviveSummarizedCalls) {
   PathFeasibility NoSums(*M);
   EXPECT_FALSE(
       NoSums.infeasibleSequence(Main, Cfg, {0, CondBlock, NotTaken}, false));
+}
+
+TEST(Feasibility, IjpegProvesSixteenIdsInfeasible) {
+  // ijpeg is the suite's correlated-branch workload. Instrumented at loop
+  // and interprocedural degree 2, branch correlation proves exactly 16 of
+  // its acyclic path ids dead, and feeding the facts to the solver never
+  // widens its bounds on a profiled run.
+  const Workload *W = findWorkload("ijpeg");
+  ASSERT_NE(W, nullptr);
+  auto M = compileOrDie(W->Source);
+  ASSERT_NE(M, nullptr);
+  InstrumentOptions Opts;
+  Opts.LoopOverlap = true;
+  Opts.LoopDegree = 2;
+  Opts.Interproc = true;
+  Opts.InterprocDegree = 2;
+  ModuleInstrumentation MI = instrumentModule(*M, Opts);
+  ASSERT_TRUE(MI.ok());
+
+  ModuleSummaries Sums = computeSummaries(*M);
+  uint64_t InfeasibleIds = 0;
+  for (uint32_t F = 0; F < M->numFunctions(); ++F) {
+    const FunctionInstrumentation &FI = MI.Funcs[F];
+    if (FI.PG && FI.Cfg)
+      InfeasibleIds +=
+          computeInfeasiblePaths(*M->function(F), *FI.Cfg, *FI.PG, &Sums)
+              .InfeasibleIds;
+  }
+  EXPECT_EQ(InfeasibleIds, 16u);
+
+  const Function *Main = M->findFunction("main");
+  ASSERT_NE(Main, nullptr);
+  ProfileRuntime Prof(M->numFunctions());
+  for (uint32_t F = 0; F < M->numFunctions(); ++F)
+    if (MI.Funcs[F].PG)
+      Prof.configurePathStore(F, MI.Funcs[F].PG->numPaths());
+  std::vector<int64_t> Args = W->PrecisionArgs;
+  Args.resize(Main->NumParams, 0);
+  Interpreter I(*M, &Prof);
+  RunResult R = I.run(*Main, Args, RunConfig{});
+  ASSERT_TRUE(R.Ok) << R.Error;
+
+  ModuleEstimator Est(*M, MI, Prof);
+  EstimateMetrics Without = Est.estimateAll();
+  PathFeasibility PF(*M, &Sums);
+  Est.setFeasibility(&PF);
+  EstimateMetrics With = Est.estimateAll();
+  EXPECT_GE(With.Definite, Without.Definite);
+  EXPECT_LE(With.Potential, Without.Potential);
 }

@@ -9,12 +9,20 @@
 // constraint systems (feasible by construction, plus adversarial infeasible
 // ones) both implementations must reach the identical fixpoint, and on
 // sparse systems the worklist must do strictly less work — the convergence
-// regression bound that keeps the optimization honest.
+// regression bound that keeps the optimization honest. The same agreement
+// is then checked on the estimation systems of every embedded workload.
 //
 //===----------------------------------------------------------------------===//
 
 #include "estimate/IntervalSolver.h"
+
+#include "estimate/Estimators.h"
+#include "frontend/Compiler.h"
+#include "interp/Interpreter.h"
+#include "profile/Instrumenter.h"
 #include "support/Rng.h"
+
+#include "../WorkloadParams.h"
 
 #include <gtest/gtest.h>
 
@@ -206,5 +214,55 @@ TEST(SolverWorklist, NonConvergenceFlagsAgreeUnderTinyBudget) {
   EXPECT_FALSE(SW.Converged);
   EXPECT_EQ(WL.Converged, SW.Converged);
 }
+
+class SolverWorkloadTest : public testing::TestWithParam<const Workload *> {};
+
+// The real estimation systems of one profiled run (K=2 loop overlap plus
+// interprocedural, precision args) solve to the same bounds under both
+// implementations.
+TEST_P(SolverWorkloadTest, WorklistMatchesSweepOnProfiledRun) {
+  const Workload &W = *GetParam();
+  CompileResult CR = compileMiniC(W.Source);
+  ASSERT_TRUE(CR.ok()) << W.Name << ": " << CR.diagText();
+  Module &M = *CR.M;
+  InstrumentOptions Opts;
+  Opts.LoopOverlap = true;
+  Opts.LoopDegree = 2;
+  Opts.Interproc = true;
+  Opts.InterprocDegree = 2;
+  ModuleInstrumentation MI = instrumentModule(M, Opts);
+  ASSERT_TRUE(MI.ok()) << W.Name;
+  const Function *Main = M.findFunction("main");
+  ASSERT_NE(Main, nullptr) << W.Name;
+
+  ProfileRuntime Prof(M.numFunctions());
+  for (uint32_t F = 0; F < M.numFunctions(); ++F)
+    if (MI.Funcs[F].PG)
+      Prof.configurePathStore(F, MI.Funcs[F].PG->numPaths());
+  std::vector<int64_t> Args = W.PrecisionArgs;
+  Args.resize(Main->NumParams, 0);
+  RunConfig RC;
+  RC.MaxSteps = 2'000'000'000;
+  Interpreter I(M, &Prof);
+  RunResult R = I.run(*Main, Args, RC);
+  ASSERT_TRUE(R.Ok) << W.Name << ": " << R.Error;
+
+  ModuleEstimator Est(M, MI, Prof);
+  EstimateMetrics WL = Est.estimateAll();
+  setThreadSolverImpl(SolverImpl::Sweep);
+  EstimateMetrics SW = Est.estimateAll();
+  setThreadSolverImpl(SolverImpl::Worklist);
+  EXPECT_GT(WL.Problems, 0u) << W.Name;
+  EXPECT_EQ(WL.Definite, SW.Definite) << W.Name;
+  EXPECT_EQ(WL.Potential, SW.Potential) << W.Name;
+  EXPECT_EQ(WL.ExactPairs, SW.ExactPairs) << W.Name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, SolverWorkloadTest,
+    testing::ValuesIn(testutil::allWorkloadPtrs()),
+    [](const testing::TestParamInfo<const Workload *> &Info) {
+      return Info.param->Name;
+    });
 
 } // namespace

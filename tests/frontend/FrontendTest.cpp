@@ -131,6 +131,54 @@ TEST(Parser, ElseIfChains) {
   EXPECT_EQ(runMain(*M, {5}), 30);
 }
 
+/// Compiles \p Src, which must fail with exactly one diagnostic naming the
+/// nesting limit.
+static void expectNestingDiagnostic(const std::string &Src) {
+  CompileResult R = compileMiniC(Src);
+  EXPECT_FALSE(R.ok());
+  ASSERT_EQ(R.Diags.size(), 1u) << R.diagText().substr(0, 400);
+  EXPECT_NE(R.Diags[0].Message.find("nesting deeper than"), std::string::npos)
+      << R.Diags[0].Message;
+}
+
+static std::string repeat(const std::string &S, size_t N) {
+  std::string Out;
+  Out.reserve(S.size() * N);
+  for (size_t I = 0; I < N; ++I)
+    Out += S;
+  return Out;
+}
+
+TEST(Parser, DeeplyNestedIfsAreADiagnostic) {
+  expectNestingDiagnostic("fn main(a) { " + repeat("if (a) { ", 100'000) +
+                          repeat("} ", 100'000) + "return 0; }");
+  // Nesting well inside the limit still compiles and runs.
+  auto M = testutil::compileOrDie("fn main(a) { " + repeat("if (a) { ", 200) +
+                                  "return 7; " + repeat("} ", 200) +
+                                  "return 0; }");
+  EXPECT_EQ(runMain(*M, {1}), 7);
+}
+
+TEST(Parser, DeeplyNestedParenthesesAreADiagnostic) {
+  expectNestingDiagnostic("fn main() { return " + repeat("(", 200'000) + "1" +
+                          repeat(")", 200'000) + "; }");
+}
+
+TEST(Parser, LongUnaryChainsAreADiagnostic) {
+  expectNestingDiagnostic("fn main() { return " + repeat("-", 100'000) +
+                          "1; }");
+}
+
+TEST(Parser, LongBinaryChainsAreADiagnostic) {
+  // The chain parses iteratively, but every operator deepens the left
+  // spine of the tree that later passes walk recursively.
+  expectNestingDiagnostic("fn main() { return " + repeat("1 + ", 200'000) +
+                          "1; }");
+  auto M = testutil::compileOrDie("fn main() { return " +
+                                  repeat("1 + ", 500) + "1; }");
+  EXPECT_EQ(runMain(*M), 501);
+}
+
 // --- sema ------------------------------------------------------------------
 
 static std::vector<Diag> semaDiags(std::string_view Src) {
@@ -185,6 +233,31 @@ TEST(Sema, RedefinitionInSameScope) {
   auto D = semaDiags("fn main() { var x = 1; var x = 2; }");
   ASSERT_EQ(D.size(), 1u);
   EXPECT_NE(D[0].Message.find("redefinition"), std::string::npos);
+}
+
+TEST(Sema, HugeGlobalArrayIsADiagnostic) {
+  CompileResult R = compileMiniC("global g[4000000000000000000];\n"
+                                 "fn main() { g[1] = 2; return g[1]; }");
+  EXPECT_FALSE(R.ok());
+  ASSERT_EQ(R.Diags.size(), 1u) << R.diagText();
+  EXPECT_NE(R.Diags[0].Message.find("'g'"), std::string::npos);
+  EXPECT_NE(R.Diags[0].Message.find(std::to_string(MaxGlobalElements)),
+            std::string::npos)
+      << R.Diags[0].Message;
+}
+
+TEST(Sema, GlobalsSummingPastTheCapAreADiagnostic) {
+  // Four arrays of a quarter of the cap fill it exactly; a fifth crosses
+  // it and is the one reported.
+  std::string Decls;
+  for (int I = 0; I < 4; ++I)
+    Decls += "global a" + std::to_string(I) + "[" +
+             std::to_string(MaxGlobalElements / 4) + "];\n";
+  EXPECT_TRUE(semaDiags(Decls + "fn main() { return 0; }").empty());
+  auto D = semaDiags(Decls + "global a4[2];\nglobal a5[2];\n"
+                             "fn main() { return 0; }");
+  ASSERT_EQ(D.size(), 1u);
+  EXPECT_NE(D[0].Message.find("'a4'"), std::string::npos) << D[0].Message;
 }
 
 TEST(Sema, DuplicateFunction) {

@@ -8,9 +8,11 @@
 // of instrumented reps across N private counter shards and tree-merging them
 // must be bit-for-bit identical to running the same reps serially into one
 // runtime — for every workload and every instrumentation mode (full overlap,
-// Ball-Larus only, interprocedural only). Also pins the saturation semantics
-// of the merge primitives: saturating addition is what makes the merge
-// order-insensitive in the first place.
+// Ball-Larus only, interprocedural only). The same fold done at the
+// artifact level — each shard serialized as an .olpp artifact, the
+// artifacts merged — must equal the artifact of the tree-merged runtime.
+// Also pins the saturation semantics of the merge primitives: saturating
+// addition is what makes the merge order-insensitive in the first place.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +20,8 @@
 
 #include "frontend/Compiler.h"
 #include "interp/Interpreter.h"
+#include "profdata/Merge.h"
+#include "profdata/ProfData.h"
 #include "profile/Instrumenter.h"
 #include "support/TaskPool.h"
 #include "workloads/Workloads.h"
@@ -115,7 +119,8 @@ void expectSameCounters(const ProfileRuntime &A, const ProfileRuntime &B,
 }
 
 /// The core property: \p Reps reps over \p Shards shards, tree-merged (on a
-/// real pool), equals the serial single-runtime fold.
+/// real pool), equals the serial single-runtime fold, and folding the
+/// shards' artifacts equals the artifact of the merged runtime.
 void checkShardMerge(const Workload &W, const ModeSpec &Mode, unsigned Shards,
                      unsigned Reps) {
   ModuleInstrumentation MI;
@@ -141,15 +146,39 @@ void checkShardMerge(const Workload &W, const ModeSpec &Mode, unsigned Shards,
   for (uint32_t F = 0; F < M->numFunctions(); ++F)
     if (MI.Funcs[F].PG)
       SP.configurePathStore(F, MI.Funcs[F].PG->numPaths());
+  std::vector<uint64_t> ShardReps(Shards, 0);
   Pool.parallelFor(Shards, [&](size_t ShardIdx, unsigned) {
     Interpreter I(*M, &SP.shard(static_cast<unsigned>(ShardIdx)));
     for (unsigned Rep = static_cast<unsigned>(ShardIdx); Rep < Reps;
-         Rep += Shards)
+         Rep += Shards) {
       runRep(I, *Main, W, Rep);
+      ++ShardReps[ShardIdx];
+    }
   });
+
+  // Serialize the shards now: merge() clears the shards it folds away.
+  auto Artifact = [&](const ProfileRuntime &Prof, uint64_t Runs) {
+    RunMeta Meta;
+    Meta.Workload = W.Name;
+    Meta.Runs = Runs;
+    return ProfileArtifact::fromRuntime(*M, MI, Prof, Meta);
+  };
+  std::vector<ProfileArtifact> ShardArts;
+  for (unsigned S = 0; S < Shards; ++S)
+    ShardArts.push_back(Artifact(SP.shard(S), ShardReps[S]));
 
   ProfileRuntime &Merged = SP.merge(&Pool);
   expectSameCounters(Merged, Serial, W.Name.c_str(), Mode.Name, Shards);
+
+  ProfileArtifact Folded = makeEmptyLike(ShardArts[0]);
+  std::vector<Diagnostic> Diags;
+  for (const ProfileArtifact &A : ShardArts)
+    ASSERT_TRUE(mergeArtifacts(Folded, A, Diags))
+        << W.Name << "/" << Mode.Name << ": " << Diags[0].Message;
+  std::string FirstDiff;
+  EXPECT_TRUE(artifactsEqual(Folded, Artifact(Merged, Reps), &FirstDiff))
+      << W.Name << "/" << Mode.Name << " shards=" << Shards << ": "
+      << FirstDiff;
 }
 
 class ShardMergeTest : public testing::TestWithParam<const Workload *> {};
