@@ -105,7 +105,6 @@ std::string olpp::renderEngineBenchJson(const EngineBenchReport &R) {
     Out += "      \"trace_step_percent\": " + jsonNum(W.TraceStepPercent) +
            ",\n";
     Out += "      \"deopt_rate\": " + jsonNum(W.DeoptRate) + ",\n";
-    Out += "      \"bridges\": " + std::to_string(W.Bridges) + ",\n";
     Out += "      \"entry_reject_rate\": " + jsonNum(W.EntryRejectRate) +
            ",\n";
     Out += "      \"trace_opt_speedup\": " + jsonNum(W.TraceOptSpeedup) +
@@ -407,7 +406,6 @@ bool olpp::validateEngineBenchJson(const std::string &Text,
         !checkNum(Row, Path, "traces_recorded", Error) ||
         !checkNum(Row, Path, "trace_step_percent", Error) ||
         !checkNum(Row, Path, "deopt_rate", Error) ||
-        !checkNum(Row, Path, "bridges", Error) ||
         !checkNum(Row, Path, "entry_reject_rate", Error) ||
         !checkNum(Row, Path, "trace_opt_speedup", Error))
       return false;

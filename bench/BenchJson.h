@@ -86,11 +86,8 @@ struct WorkloadBench {
   uint64_t TracesRecorded = 0;
   double TraceStepPercent = 0.0;
   double DeoptRate = 0.0;
-  /// Bridge traces stitched onto side exits across the measurement
-  /// (trace-tree linking), and entry-guard rejects per trace entry on the
-  /// final timed run (cheap bounces, reported separately from mid-pass
-  /// deopts).
-  uint64_t Bridges = 0;
+  /// Entry-guard rejects per trace entry on the final timed run (cheap
+  /// bounces, reported separately from mid-pass deopts).
   double EntryRejectRate = 0.0;
   /// Fast-with-optimizer steps/sec over fast-without (the --no-trace-opt
   /// A/B lane); 0 when the harness did not measure the A/B lane.

@@ -83,12 +83,11 @@ struct EngineLane {
   Interpreter Interp;
   RunResult Last;
   double BestSeconds = 1e100;
-  /// Traces and bridges recorded across every run of this lane. Compiled
+  /// Traces recorded across every run of this lane. Compiled
   /// traces live in the plan's shared PlanTraceCache, so recording happens
   /// once (typically during warm-up) and the timed reps re-enter the
   /// installed traces.
   uint64_t TracesRecordedTotal = 0;
-  uint64_t BridgesTotal = 0;
 
   EngineLane(EngineKind Kind, bool TraceOpt, const Module &M,
              const ModuleInstrumentation &MI)
@@ -112,7 +111,6 @@ struct EngineLane {
     if (Timed && S < BestSeconds)
       BestSeconds = S;
     TracesRecordedTotal += Last.Trace.Recorded;
-    BridgesTotal += Last.Trace.Bridges;
     return Last.Ok;
   }
 };
@@ -232,7 +230,6 @@ bool benchWorkload(const Workload &W, unsigned Reps, bool Quick,
   // from the final timed run of the fast lane.
   const TraceTierStats &TT = Fast.Last.Trace;
   Row.TracesRecorded = Fast.TracesRecordedTotal;
-  Row.Bridges = Fast.BridgesTotal;
   Row.TraceStepPercent =
       Fast.Last.Counts.Steps > 0
           ? 100.0 * static_cast<double>(TT.TraceSteps) /
@@ -340,7 +337,7 @@ int main(int Argc, char **Argv) {
   Report.WallSeconds = secondsSince(T0);
 
   TableWriter T({"Workload", "Ref steps/s", "Fast steps/s", "Speedup",
-                 "Traces", "Bridges", "Trace steps", "Deopt rate",
+                 "Traces", "Trace steps", "Deopt rate",
                  "Entry rej", "Opt A/B",
                  "Solver evals (worklist/sweep)"});
   for (const WorkloadBench &W : Report.Workloads) {
@@ -353,7 +350,7 @@ int main(int Argc, char **Argv) {
     std::snprintf(Er, sizeof(Er), "%.4f", W.EntryRejectRate);
     std::snprintf(Ab, sizeof(Ab), "%.2fx", W.TraceOptSpeedup);
     T.addRow({W.Name, RefS, FastS, Sp, std::to_string(W.TracesRecorded),
-              std::to_string(W.Bridges), TrPct, De, Er, Ab,
+              TrPct, De, Er, Ab,
               std::to_string(W.SolverEvaluationsWorklist) + "/" +
                   std::to_string(W.SolverEvaluationsSweep)});
   }

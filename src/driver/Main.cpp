@@ -53,6 +53,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 using namespace olpp;
@@ -145,18 +146,14 @@ int usage() {
       "       each) and verifies the final snapshot is bit-identical to an\n"
       "       offline merge of exactly the acked uploads\n"
       "\n"
-      "run accepts --profile FILE to pre-heat the tracing tier\n"
-      "from a matching .olpp artifact (hot paths recorded without warmup;\n"
-      "the run is instrumented under the artifact's recorded mode).\n"
-      "\n"
       "run/profile/estimate accept --engine fast|reference to select\n"
-      "the execution engine (default: fast). The fast engine's tracing tier\n"
-      "takes --trace-threshold N (completions before a hot path is recorded,\n"
-      "default 32; 0 = record on the first completion), --no-traces\n"
-      "(interpret everything, never trace), --trace-link-threshold N\n"
-      "(side-exit deopts before a bridge trace is stitched in, default 8,\n"
-      "0 = never link) and --no-trace-opt (check every trace guard on\n"
-      "every pass instead of once per batch of guard pass budgets).\n"
+      "the execution engine (default: fast). profile and estimate run the\n"
+      "program instrumented, which is what the fast engine's tracing tier\n"
+      "keys on (run never traces); they take --trace-threshold N\n"
+      "(completions before a hot path is recorded, default 32; 0 = record\n"
+      "on the first completion), --no-traces (interpret everything, never\n"
+      "trace) and --no-trace-opt (check every trace guard on every pass\n"
+      "instead of once per batch of guard pass budgets).\n"
       "\n"
       "A file name matching an embedded workload (e.g. 'mcf') may be used\n"
       "in place of a path.\n",
@@ -199,8 +196,6 @@ struct Parsed {
   /// so presence is a separate flag instead of a sentinel.
   uint32_t TraceThreshold = 0;
   bool HasTraceThreshold = false;
-  uint32_t TraceLinkThreshold = 0; ///< --trace-link-threshold (0 = no bridges)
-  bool HasTraceLinkThreshold = false;
   bool NoTraceOpt = false; ///< --no-trace-opt: run compiled traces verbatim
   unsigned Jobs = 1; ///< fuzz/serve worker threads; 0 = one per core
   uint32_t Seeds = 100;    ///< fuzz: number of master seeds
@@ -212,7 +207,7 @@ struct Parsed {
   std::string Out;
   bool Json = false;          ///< machine-readable output (composes with -o)
   uint64_t Weight = 1;        ///< profdata merge --weight
-  std::string FromProfile;    ///< estimate/opt/run --profile FILE
+  std::string FromProfile;    ///< estimate/opt --profile FILE
   bool EmitIr = false;        ///< opt --emit-ir
   bool Feasibility = false;   ///< estimate --feasibility
   std::string ModuleFile;     ///< profdata show --module FILE
@@ -228,16 +223,28 @@ struct Parsed {
   bool Ok = false;
 };
 
+/// Most worker threads --jobs and serve-bench --clients may ask for.
+constexpr uint64_t MaxThreads = 1024;
+
 Parsed parseArgs(int Argc, char **Argv, int Start) {
   Parsed P;
+  // Reads a numeric option's value: all of it must be a decimal in
+  // [Min, Max], or the command line is a usage error.
+  auto Num = [&](int &I, uint64_t Min, uint64_t Max, auto &Out) {
+    uint64_t V = 0;
+    if (parseUnsigned(Argv[++I], Min, Max, V))
+      Out = static_cast<std::remove_reference_t<decltype(Out)>>(V);
+    else
+      P.Bad = true;
+  };
   for (int I = Start; I < Argc; ++I) {
     std::string A = Argv[I];
     if (A == "--interproc") {
       P.Interproc = true;
     } else if (A == "--degree" && I + 1 < Argc) {
-      P.Degree = static_cast<uint32_t>(std::atoi(Argv[++I]));
+      Num(I, 1, UINT32_MAX, P.Degree);
     } else if (A == "--top" && I + 1 < Argc) {
-      P.Top = static_cast<size_t>(std::atoi(Argv[++I]));
+      Num(I, 0, UINT32_MAX, P.Top);
     } else if (A == "--lint") {
       P.Lint = true;
     } else if (A == "--lint-json") {
@@ -257,45 +264,30 @@ Parsed parseArgs(int Argc, char **Argv, int Start) {
     } else if (A == "--no-traces") {
       P.NoTraces = true;
     } else if (A == "--trace-threshold" && I + 1 < Argc) {
-      int V = std::atoi(Argv[++I]);
-      if (V < 0) {
-        P.Bad = true;
-      } else {
-        P.TraceThreshold = static_cast<uint32_t>(V);
-        P.HasTraceThreshold = true;
-      }
-    } else if (A == "--trace-link-threshold" && I + 1 < Argc) {
-      int V = std::atoi(Argv[++I]);
-      if (V < 0) {
-        P.Bad = true;
-      } else {
-        P.TraceLinkThreshold = static_cast<uint32_t>(V);
-        P.HasTraceLinkThreshold = true;
-      }
+      Num(I, 0, UINT32_MAX, P.TraceThreshold);
+      P.HasTraceThreshold = true;
     } else if (A == "--no-trace-opt") {
       P.NoTraceOpt = true;
     } else if (A == "--host" && I + 1 < Argc) {
       P.Host = Argv[++I];
     } else if (A == "--port" && I + 1 < Argc) {
-      P.Port = std::atoi(Argv[++I]);
-      if (P.Port < 0 || P.Port > 65535)
-        P.Bad = true;
+      Num(I, 0, 65535, P.Port);
     } else if (A == "--clients" && I + 1 < Argc) {
-      P.Clients = static_cast<unsigned>(std::atoi(Argv[++I]));
+      Num(I, 0, MaxThreads, P.Clients);
     } else if (A == "--uploads" && I + 1 < Argc) {
-      P.Uploads = static_cast<unsigned>(std::atoi(Argv[++I]));
+      Num(I, 0, UINT32_MAX, P.Uploads);
     } else if (A == "--derive" && I + 1 < Argc) {
-      P.Derive = static_cast<unsigned>(std::atoi(Argv[++I]));
+      Num(I, 0, 4096, P.Derive);
     } else if (A == "--shards" && I + 1 < Argc) {
-      P.Shards = static_cast<unsigned>(std::atoi(Argv[++I]));
+      Num(I, 0, 4096, P.Shards);
     } else if (A == "--no-verify") {
       P.NoVerify = true;
     } else if ((A == "--jobs" || A == "-j") && I + 1 < Argc) {
-      P.Jobs = static_cast<unsigned>(std::atoi(Argv[++I]));
+      Num(I, 0, MaxThreads, P.Jobs);
     } else if (A == "--seeds" && I + 1 < Argc) {
-      P.Seeds = static_cast<uint32_t>(std::atoi(Argv[++I]));
+      Num(I, 0, UINT32_MAX, P.Seeds);
     } else if (A == "--seed" && I + 1 < Argc) {
-      P.FuzzSeed = std::strtoull(Argv[++I], nullptr, 10);
+      Num(I, 0, UINT64_MAX, P.FuzzSeed);
       P.HasFuzzSeed = true;
     } else if (A == "--shrink") {
       P.Shrink = true;
@@ -303,7 +295,7 @@ Parsed parseArgs(int Argc, char **Argv, int Start) {
                I + 1 < Argc) {
       P.Out = Argv[++I];
     } else if (A == "--weight" && I + 1 < Argc) {
-      P.Weight = std::strtoull(Argv[++I], nullptr, 10);
+      Num(I, 0, UINT64_MAX, P.Weight);
     } else if (A == "--profile" && I + 1 < Argc) {
       P.FromProfile = Argv[++I];
     } else if (A == "--emit-ir") {
@@ -352,77 +344,20 @@ std::vector<int64_t> fitArgs(const Parsed &P, const Module &M) {
 }
 
 /// Applies the tracing-tier knobs (--no-traces, --trace-threshold,
-/// --trace-link-threshold, --no-trace-opt) to a run
-/// configuration. Only the fast engine consults them.
+/// --no-trace-opt) to a run configuration. Only the fast engine consults
+/// them, and only on an instrumented run.
 void applyTraceOpts(RunConfig &RC, const Parsed &P) {
   if (P.NoTraces)
     RC.EnableTraces = false;
   if (P.HasTraceThreshold)
     RC.TraceThreshold = P.TraceThreshold;
-  if (P.HasTraceLinkThreshold)
-    RC.TraceLinkThreshold = P.TraceLinkThreshold;
   if (P.NoTraceOpt)
     RC.EnableTraceOpt = false;
 }
 
-/// `olpp run <file> --profile art.olpp`: the artifact-driven warmup skip.
-/// The artifact is rebound (fingerprint-checked), the module runs
-/// instrumented under its recorded mode, and the tracing tier's hotness
-/// table is pre-heated from the persisted counters so hot paths record on
-/// their first live completion instead of after a warmup's worth of them.
-int cmdRunSeeded(const Parsed &P) {
-  ProfileArtifact A;
-  std::vector<Diagnostic> Diags;
-  if (!readProfileArtifactFile(P.FromProfile, A, Diags)) {
-    std::fputs(renderDiagnosticsText(Diags).c_str(), stderr);
-    return 1;
-  }
-  auto M = compileOrFail(P.File);
-  if (!M)
-    return 2;
-  ArtifactBinding B;
-  if (!bindArtifactToModule(*M, A, B, Diags)) {
-    std::fputs(renderDiagnosticsText(Diags).c_str(), stderr);
-    return 1;
-  }
-  const Function *Main = B.InstrModule->findFunction("main");
-  if (!Main) {
-    std::fprintf(stderr, "error: no 'main' function\n");
-    return 1;
-  }
-  ProfileRuntime Prof(B.InstrModule->numFunctions());
-  for (uint32_t F = 0; F < B.InstrModule->numFunctions(); ++F)
-    if (B.MI.Funcs[F].PG)
-      Prof.configurePathStore(F, B.MI.Funcs[F].PG->numPaths());
-  std::vector<HotPathSeed> Seeds =
-      collectHotLoopPaths(A, B.MI, /*MinCount=*/1, /*MaxSeeds=*/64);
-  seedTraceTier(Prof, Seeds);
-
-  Interpreter I(*B.InstrModule, &Prof);
-  RunConfig RC;
-  RC.Engine = P.Engine;
-  applyTraceOpts(RC, P);
-  RunResult R = I.run(*Main, fitArgs(P, *B.InstrModule), RC);
-  if (!R.Ok) {
-    std::fprintf(stderr, "runtime error: %s\n", R.Error.c_str());
-    return 1;
-  }
-  std::printf("result: %lld\n", static_cast<long long>(R.ReturnValue));
-  std::printf("executed %llu instructions, %llu blocks, %llu calls\n",
-              static_cast<unsigned long long>(R.Counts.Steps),
-              static_cast<unsigned long long>(R.Counts.Blocks),
-              static_cast<unsigned long long>(R.Counts.Calls));
-  std::printf("seeded %zu hot path(s) from %s: %llu trace(s) recorded, "
-              "%llu trace enter(s)\n",
-              Seeds.size(), P.FromProfile.c_str(),
-              static_cast<unsigned long long>(R.Trace.Recorded),
-              static_cast<unsigned long long>(R.Trace.Enters));
-  return 0;
-}
-
 int cmdRun(const Parsed &P) {
   if (!P.FromProfile.empty())
-    return cmdRunSeeded(P);
+    return usage();
   auto M = compileOrFail(P.File);
   if (!M)
     return 2;
@@ -434,7 +369,6 @@ int cmdRun(const Parsed &P) {
   Interpreter I(*M);
   RunConfig RC;
   RC.Engine = P.Engine;
-  applyTraceOpts(RC, P);
   RunResult R = I.run(*Main, fitArgs(P, *M), RC);
   if (!R.Ok) {
     std::fprintf(stderr, "runtime error: %s\n", R.Error.c_str());

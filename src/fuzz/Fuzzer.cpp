@@ -14,7 +14,6 @@
 #include "frontend/Compiler.h"
 #include "fuzz/Shrinker.h"
 #include "interp/Interpreter.h"
-#include "interp/TraceOpt.h"
 #include "ir/Module.h"
 #include "opt/Optimizer.h"
 #include "profdata/Merge.h"
@@ -405,22 +404,19 @@ std::string checkAbortConsistency(const Module &Base,
 
 /// Runs the trace oracle: the fast engine with the tracing tier forced hot
 /// (recording threshold 1, so even small generated loops record and execute
-/// traces; link threshold 1, so the very first side-exit deopt records a
-/// bridge) against the reference engine, across three phases:
+/// traces) against the reference engine, across three phases:
 ///
 ///   traced          — full budget, trace-local optimizer on
 ///   abort-mid-trace — fuel boundary at \p HalfBudget (0 = skip), so the
 ///                     abort can land inside a pass, between passes, or in
-///                     the middle of a bridge recording
+///                     the middle of a recording
 ///   traced-noopt    — full budget with the optimizer off (verbatim traces),
 ///                     isolating executor bugs from optimizer bugs
 ///
-/// The fast runs carry the static feasibility facts of the instrumented
-/// module, exercising the bump cross-check. Return value, error, dynamic
-/// counts and every raw counter must match bit for bit. \p Fault plants
-/// FaultKind::DropTraceGuard into the optimizer so the mutation test can
-/// prove this oracle catches a miscompiled trace. Returns "" on success,
-/// else the mismatch.
+/// Return value, error, dynamic counts and every raw counter must match
+/// bit for bit. \p Fault plants FaultKind::DropTraceGuard into the
+/// optimizer so the mutation test can prove this oracle catches a
+/// miscompiled trace. Returns "" on success, else the mismatch.
 std::string checkTraceConsistency(const Module &Base,
                                   const DifferentialRunner::CaseSetup &Setup,
                                   uint64_t Budget, uint64_t HalfBudget,
@@ -438,28 +434,6 @@ std::string checkTraceConsistency(const Module &Base,
       if (MI.Funcs[F].PG)
         P.configurePathStore(F, MI.Funcs[F].PG->numPaths());
   };
-
-  // Static path knowledge for the optimizer's bump cross-check, computed
-  // the same way oracle 8 does (instrumentation is deterministic, so the
-  // clone's path ids match the analysis').
-  TraceFeasibilityFacts Facts;
-  {
-    ModuleSummaries Sums = computeSummaries(*Clone);
-    for (uint32_t F = 0; F < Clone->numFunctions(); ++F) {
-      const FunctionInstrumentation &FI = MI.Funcs[F];
-      if (!FI.PG || !FI.Cfg)
-        continue;
-      FunctionInfeasibility Inf =
-          computeInfeasiblePaths(*Clone->function(F), *FI.Cfg, *FI.PG, &Sums);
-      if (Inf.Intervals.empty())
-        continue;
-      std::vector<TraceFeasibilityFacts::Interval> Iv;
-      Iv.reserve(Inf.Intervals.size());
-      for (const auto &I : Inf.Intervals)
-        Iv.push_back({I.Lo, I.Hi});
-      Facts.PerFunc.emplace_back(F, std::move(Iv));
-    }
-  }
 
   for (int Phase = 0; Phase < 3; ++Phase) {
     const uint64_t Steps = Phase == 1 ? HalfBudget : Budget;
@@ -480,11 +454,9 @@ std::string checkTraceConsistency(const Module &Base,
     RC.Engine = EngineKind::Fast;
     RC.EnableTraces = true;
     RC.TraceThreshold = 1;
-    RC.TraceLinkThreshold = 1;
     RC.EnableTraceOpt = Phase != 2;
     RC.TraceOptDropGuardFault =
         Phase != 2 && Fault == FaultKind::DropTraceGuard;
-    RC.TraceFacts = &Facts;
     ProfileRuntime PFast(Clone->numFunctions());
     configure(PFast);
     Interpreter IFast(*Clone, &PFast);

@@ -324,16 +324,11 @@ RunResult Interpreter::runFast(const Function &Entry,
   TraceRecorder Rec;
   TraceTierStats TStats;
   const uint32_t TraceThreshold = Config.TraceThreshold;
-  // While a *bridge* recording is live: the parent trace and side-exit
-  // step the finished bridge will be stitched into.
-  const CompiledTrace *BrParent = nullptr;
-  uint32_t BrStep = 0;
   // The cache is resolved once per run, keyed by the full trace settings:
-  // traces recorded under a different threshold, link threshold or
-  // optimizer configuration (or with tracing disabled) live in sibling
-  // caches of the shared plan and stay invisible to this run.
-  const TraceSettings TSettings{TraceThreshold, Config.TraceLinkThreshold,
-                                Config.EnableTraceOpt,
+  // traces recorded under a different threshold or optimizer configuration
+  // (or with tracing disabled) live in sibling caches of the shared plan
+  // and stay invisible to this run.
+  const TraceSettings TSettings{TraceThreshold, Config.EnableTraceOpt,
                                 Config.TraceOptDropGuardFault};
   PlanTraceCache *const TC =
       (Config.EnableTraces && Prof && !Trace && P.Traces != nullptr)
@@ -1889,45 +1884,23 @@ TraceCheck: {
   if (Rec.recording()) {
     if (Rec.aborted()) {
       // The recording hit a non-traceable event (sink overflow, anchor-frame
-      // exit). Never try this start point again: anchors are blacklisted,
-      // bridge side exits get the no-bridge sentinel.
+      // exit). Never try this anchor again.
       Tr = nullptr;
-      if (Rec.bridge()) {
-        BrParent->ExitDeopts[BrStep].store(CompiledTrace::NoBridgeSentinel,
-                                           std::memory_order_relaxed);
-        BrParent = nullptr;
-      } else {
-        Prof->Tier.blacklistAnchor(Rec.anchorFunc(), Rec.anchorPc());
-      }
+      Prof->Tier.blacklistAnchor(Rec.anchorFunc(), Rec.anchorPc());
       Rec.clear();
       ++TStats.Aborted;
-    } else if (FuncId == Rec.endFunc() && Pc == Rec.endPc() &&
+    } else if (FuncId == Rec.anchorFunc() && Pc == Rec.anchorPc() &&
                Rec.depth() == 0) {
-      // Back at the end point with balanced calls: one complete pass
-      // recorded. For anchor traces the end point is the anchor itself;
-      // for bridges it is the parent trace's anchor.
+      // Back at the anchor with balanced calls: one complete pass recorded.
       Tr = nullptr;
-      const bool IsBridge = Rec.bridge();
       auto T = compileTrace(P, Rec);
-      const uint32_t AF = Rec.anchorFunc(), APc = Rec.anchorPc();
+      Rec.clear();
       if (T && TSettings.Optimize)
         optimizeTrace(*T, TSettings.FaultDropGuard);
-      Rec.clear();
-      if (T && Config.TraceFacts && !traceBumpsFeasible(*T, *Config.TraceFacts))
-        T.reset(); // compiler bug: reject like a failed compile
-      if (IsBridge) {
-        if (T && TC->installBridge(*BrParent, BrStep, std::move(T))) {
-          ++TStats.Bridges;
-        } else {
-          BrParent->ExitDeopts[BrStep].store(CompiledTrace::NoBridgeSentinel,
-                                             std::memory_order_relaxed);
-          ++TStats.Aborted;
-        }
-        BrParent = nullptr;
-      } else if (T && TC->install(std::move(T))) {
+      if (T && TC->install(std::move(T))) {
         ++TStats.Recorded;
       } else {
-        Prof->Tier.blacklistAnchor(AF, APc);
+        Prof->Tier.blacklistAnchor(FuncId, Pc);
         ++TStats.Aborted;
       }
       goto TraceLookup; // enter the fresh trace immediately
@@ -1943,21 +1916,7 @@ TraceLookup:
                   MaxSteps, Config.MaxCallDepth,
                   Steps,    Base,     PCostSum,
                   Blocks,   Calls,    TStats};
-    IO.LinkThreshold = Config.TraceLinkThreshold;
     runCompiledTrace(*CT, IO);
-    if (IO.BridgeParent) {
-      // The executor saw a side exit cross the link threshold: record a
-      // bridge from the exact resume point (the frame state right now *is*
-      // the bridge's entry snapshot) back to the parent's anchor.
-      BrParent = IO.BridgeParent;
-      BrStep = IO.BridgeStep;
-      FastFrame &Cur = Frames.back();
-      Rec.beginBridge(Cur.FuncId, Cur.Pc, Cur.Block, BrParent->FuncId,
-                      BrParent->AnchorPc, Cur,
-                      LoopStack.data() + Cur.LoopBase,
-                      P.Funcs[Cur.FuncId].NumLoopSlots, *Prof);
-      Tr = &Rec;
-    }
     goto ReloadFrame; // frame/pc/block restored by the executor
   }
   if (Prof->Tier.PendingRecord == static_cast<int64_t>(FuncId)) {

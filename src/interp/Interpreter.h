@@ -40,7 +40,6 @@ namespace olpp {
 class ProfileRuntime;
 class TraceSink;
 struct ExecPlan;
-struct TraceFeasibilityFacts;
 
 /// Which execution engine runs the program.
 enum class EngineKind : uint8_t {
@@ -75,16 +74,8 @@ struct RunConfig {
   /// EnableTraceOpt off means compiled traces check every guard on every
   /// pass (the honest A/B baseline for --no-trace-opt).
   bool EnableTraceOpt = true;
-  /// Side-exit deopts at one guard before a bridge trace is recorded and
-  /// stitched in (0 = linking off).
-  uint32_t TraceLinkThreshold = 8;
   /// Fuzz-only planted optimizer bug (FaultKind::DropTraceGuard).
   bool TraceOptDropGuardFault = false;
-  /// Optional static path-feasibility facts (profile/InfeasiblePaths via
-  /// plain data; see interp/TraceOpt.h). Used as a compiler cross-check:
-  /// a trace whose precomputed bumps hit a statically infeasible path id
-  /// is rejected. Never changes observable behavior.
-  const TraceFeasibilityFacts *TraceFacts = nullptr;
 };
 
 /// Dynamic counters of one run.

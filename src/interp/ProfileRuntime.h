@@ -132,29 +132,6 @@ public:
       // Cluster full: drop the sample. Heat attribution is best-effort.
     }
 
-    /// Pre-heats the table from a persisted profile: credits \p Count prior
-    /// completions of overlapping path \p Id in function \p F, so the first
-    /// live completion already crosses the recording threshold and arms a
-    /// recording. This is the artifact-driven warmup skip (`olpp run`/
-    /// `bench --profile`): heat measured in an earlier profiled run stands
-    /// in for the warmup iterations of this one. Idempotent (keeps the
-    /// larger count) and best-effort like noteHot.
-    void seed(uint32_t F, int64_t Id, uint32_t Count) {
-      if (Hot.empty())
-        Hot.resize(NumSlots);
-      const uint64_t Key = mixKey(F, Id);
-      size_t I = static_cast<size_t>(Key) & (NumSlots - 1);
-      for (size_t Probe = 0; Probe < 8; ++Probe, I = (I + 1) & (NumSlots - 1)) {
-        HotSlot &S = Hot[I];
-        if (S.Key == Key || S.Key == 0) {
-          S.Key = Key;
-          if (!S.Disabled && Count > S.Count)
-            S.Count = Count;
-          return;
-        }
-      }
-    }
-
     bool anchorBlacklisted(uint32_t F, uint32_t Pc) const {
       const uint64_t K = (static_cast<uint64_t>(F) << 32) | Pc;
       for (uint64_t B : Blacklist)

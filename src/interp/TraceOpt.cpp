@@ -6,7 +6,6 @@
 
 #include "interp/TraceOpt.h"
 
-#include <algorithm>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
@@ -316,10 +315,9 @@ void appendReg(std::string &Out, Reg R) {
 
 std::string dumpTrace(const CompiledTrace &T) {
   std::string Out;
-  appendf(Out, "%s func=%u anchor=%u@%u start=%u@%u multipass=%d "
-               "basesteps=%u budgeted=%d\n",
-          T.IsBridge ? "bridge" : "trace", T.FuncId, T.AnchorPc,
-          T.AnchorBlock, T.StartPc, T.StartBlock, T.MultiPass ? 1 : 0,
+  appendf(Out, "trace func=%u anchor=%u@%u multipass=%d basesteps=%u "
+               "budgeted=%d\n",
+          T.FuncId, T.AnchorPc, T.AnchorBlock, T.MultiPass ? 1 : 0,
           T.PassBaseSteps, T.Budgeted ? 1 : 0);
   appendf(Out, "guards: %zu\n", T.Guards.size());
   for (size_t I = 0; I < T.Guards.size(); ++I) {
@@ -432,34 +430,6 @@ std::string dumpTrace(const CompiledTrace &T) {
             B.FuncId, B.BaseIdx, static_cast<long long>(B.Id));
   }
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Static path-feasibility cross-check
-//===----------------------------------------------------------------------===//
-
-bool TraceFeasibilityFacts::infeasible(uint32_t FuncId, int64_t Id) const {
-  for (const auto &F : PerFunc) {
-    if (F.first != FuncId)
-      continue;
-    const std::vector<Interval> &Iv = F.second;
-    auto It = std::upper_bound(
-        Iv.begin(), Iv.end(), Id,
-        [](int64_t V, const Interval &I) { return V < I.Lo; });
-    if (It == Iv.begin())
-      return false;
-    --It;
-    return Id <= It->Hi;
-  }
-  return false;
-}
-
-bool traceBumpsFeasible(const CompiledTrace &T,
-                        const TraceFeasibilityFacts &Facts) {
-  for (const TraceBump &B : T.Bumps)
-    if (B.Table == 0 && Facts.infeasible(B.FuncId, B.Id))
-      return false;
-  return true;
 }
 
 } // namespace olpp

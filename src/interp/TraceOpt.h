@@ -26,13 +26,11 @@
 #include "interp/TraceTier.h"
 
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace olpp {
 
-/// Computes \p T's guard pass budgets. Safe on any compiled trace, anchor
-/// or bridge. \p FaultDropGuard is a fuzz-only planted bug: it also
+/// Computes \p T's guard pass budgets. Safe on any compiled trace.
+/// \p FaultDropGuard is a fuzz-only planted bug: it also
 /// deletes the last branch guard of the body, and the differential trace
 /// oracle must catch the resulting divergence (fuzz/Fuzzer.h
 /// FaultKind::DropTraceGuard).
@@ -40,31 +38,6 @@ void optimizeTrace(CompiledTrace &T, bool FaultDropGuard = false);
 
 /// Deterministic text dump of a compiled trace body (goldens + debugging).
 std::string dumpTrace(const CompiledTrace &T);
-
-/// Static path knowledge handed across the layering boundary: src/interp
-/// links only olpp_ir, so the profile layer's InfeasiblePaths results are
-/// passed in as plain sorted id intervals per function. Producers (the
-/// driver, the fuzz oracle, tests) fill this from
-/// profile/InfeasiblePaths.h's FunctionInfeasibility.
-struct TraceFeasibilityFacts {
-  struct Interval {
-    int64_t Lo = 0;
-    int64_t Hi = 0; ///< inclusive
-  };
-  /// Per function id: disjoint, sorted infeasible BL/OL path-id intervals.
-  std::vector<std::pair<uint32_t, std::vector<Interval>>> PerFunc;
-
-  bool infeasible(uint32_t FuncId, int64_t Id) const;
-};
-
-/// Cross-checks the trace's precomputed path-counter bumps against the
-/// static feasibility facts: a trace whose guards statically determine its
-/// path ids must only bump ids the analysis proves reachable. Returns
-/// false (trace must be rejected) when any Table-0 bump targets an id the
-/// facts classify infeasible — that can only mean a compiler bug, so the
-/// caller treats it like a failed compilation.
-bool traceBumpsFeasible(const CompiledTrace &T,
-                        const TraceFeasibilityFacts &Facts);
 
 } // namespace olpp
 

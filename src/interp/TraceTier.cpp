@@ -44,7 +44,6 @@ bool PlanTraceCache::install(std::unique_ptr<CompiledTrace> T) {
     for (const auto &E : Cur->Entries)
       if (E.first == T->AnchorPc)
         return false; // lost the race; the first install wins
-  T->prepareRuntime();
   auto Next = std::make_unique<AnchorList>();
   if (Cur)
     Next->Entries = Cur->Entries;
@@ -56,20 +55,6 @@ bool PlanTraceCache::install(std::unique_ptr<CompiledTrace> T) {
   // the plan's lifetime.
   Retired.push_back(std::move(Next));
   Slot.store(NextRaw, std::memory_order_release);
-  return true;
-}
-
-bool PlanTraceCache::installBridge(const CompiledTrace &Parent, uint32_t Step,
-                                   std::unique_ptr<CompiledTrace> B) {
-  std::lock_guard<std::mutex> Lock(InstallMu);
-  if (!Parent.BridgeAt || Step >= Parent.Steps.size())
-    return false;
-  if (Parent.BridgeAt[Step].load(std::memory_order_relaxed))
-    return false; // lost the race; the first bridge per exit wins
-  B->prepareRuntime();
-  const CompiledTrace *Raw = B.get();
-  Owned.push_back(std::move(B));
-  Parent.BridgeAt[Step].store(Raw, std::memory_order_release);
   return true;
 }
 
@@ -1294,20 +1279,14 @@ std::unique_ptr<CompiledTrace> TraceCompiler::run() {
   if (Rec.events().empty())
     return nullptr;
   const uint32_t AnchorF = Rec.anchorFunc();
-  const uint32_t StartPc = Rec.anchorPc();
-  const uint32_t EndPc = Rec.endPc();
-  if (AnchorF >= P.Funcs.size() || Rec.endFunc() != AnchorF)
+  const uint32_t AnchorPc = Rec.anchorPc();
+  if (AnchorF >= P.Funcs.size())
     return nullptr;
 
   Out = std::make_unique<CompiledTrace>();
   Out->FuncId = AnchorF;
-  // Bridges start at a side-exit resume point (usually mid-block) and run
-  // to the parent's anchor; AnchorPc names where a completed pass lands.
-  Out->IsBridge = Rec.bridge();
-  Out->AnchorPc = EndPc;
+  Out->AnchorPc = AnchorPc;
   Out->AnchorBlock = Rec.anchorBlock();
-  Out->StartPc = StartPc;
-  Out->StartBlock = Rec.anchorBlock();
 
   // The entry frame: everything entry-relative / unknown; the compiler
   // promotes components to known values (emitting guards) on demand.
@@ -1318,12 +1297,12 @@ std::unique_ptr<CompiledTrace> TraceCompiler::run() {
   F.KnownReg.assign(F.FP->NumRegs, 0);
   F.KVal.assign(F.FP->NumRegs, 0);
   Fs.push_back(std::move(F));
-  Pc = StartPc;
+  Pc = AnchorPc;
   CurBlock = Rec.anchorBlock();
   if (Snap.Loops.size() != Fs.front().Loops.size())
     return nullptr;
 
-  while (!(EvIdx == Rec.events().size() && atAnchor() && Pc == EndPc &&
+  while (!(EvIdx == Rec.events().size() && atAnchor() && Pc == AnchorPc &&
            BaseIdx > 0)) {
     if (Failed || BaseIdx >= MaxBaseSteps)
       return nullptr;
@@ -1648,29 +1627,18 @@ void applyPassEffectsScaled(const CompiledTrace &T, TraceRunIO &IO,
 
 } // namespace
 
-void runCompiledTrace(const CompiledTrace &Root, TraceRunIO &IO) {
+void runCompiledTrace(const CompiledTrace &T, TraceRunIO &IO) {
   ++IO.Stats.Enters;
   const size_t AnchorIdx = IO.Frames.size() - 1;
-  // The segment being executed: the root (anchor) trace, or a bridge
-  // stitched onto one of its side exits. A mid-pass deopt at anchor depth
-  // chases the exit's bridge when one is linked; a completed bridge pass
-  // lands back at the root's anchor and re-enters the root. Every segment
-  // boundary flushes exact engine state first, so a reject at any point
-  // leaves nothing to undo.
-  const CompiledTrace *Seg = &Root;
-  // Completed anchor-to-anchor iterations this enter (full root passes
-  // plus completed bridge passes): the retirement heuristic's notion of
+  // Completed passes this enter: the retirement heuristic's notion of
   // straight-line progress.
-  uint64_t RootProgress = 0;
-  bool AnyProgress = false;
+  uint64_t Progress = 0;
   // Base-step index at which the frame currently live at each in-trace
   // depth was created; gates positional effects to the right frame
   // instance on a mid-pass deopt.
   std::vector<uint32_t> DS;
 
   for (;;) {
-    const CompiledTrace &T = *Seg;
-
     // Fuel precondition: the dispatch loop charges one fuel unit per base
     // step *before* executing it, so a pass may start only if every one of
     // its PassSteps fits under the limit. Accounting is flushed per batch,
@@ -1681,32 +1649,16 @@ void runCompiledTrace(const CompiledTrace &Root, TraceRunIO &IO) {
       MaxK = guardPassBudget(T, IO, AnchorIdx, FuelK);
       if (MaxK > FuelK)
         MaxK = FuelK;
-      if (MaxK && (!T.MultiPass || T.IsBridge))
+      if (MaxK && !T.MultiPass)
         MaxK = 1;
     }
     if (MaxK == 0) {
-      if (T.IsBridge) {
-        // Bridge entry reject: the side exit already restored exact state
-        // and the resume point. Tally churn for the bridge's own
-        // retirement (Dead only — a bridge never blacklists the anchor).
-        const uint64_t BE =
-            T.LifeEnters.fetch_add(1, std::memory_order_relaxed) + 1;
-        const uint64_t BP = T.LifePasses.load(std::memory_order_relaxed);
-        if (BE >= CompiledTrace::RetireCheckEnters && BP * 4 < BE &&
-            !T.Dead.exchange(true, std::memory_order_relaxed))
-          ++IO.Stats.Retired;
-        break;
-      }
-      if (!AnyProgress)
+      if (Progress == 0)
         ++IO.Stats.EntryRejects;
       FastFrame &Top = IO.Frames[AnchorIdx];
       Top.Pc = T.AnchorPc;
       Top.Block = T.AnchorBlock;
       break;
-    }
-    if (T.IsBridge) {
-      T.LifeEnters.fetch_add(1, std::memory_order_relaxed);
-      ++IO.Stats.BridgeEnters;
     }
 
     uint64_t PassCount = 0;
@@ -2042,80 +1994,30 @@ void runCompiledTrace(const CompiledTrace &Root, TraceRunIO &IO) {
         IO.Prof.TypeIICounts.bump(B.Key, N);
     }
 
-    if (!T.IsBridge && PassCount) {
-      RootProgress += PassCount;
-      AnyProgress = true;
-    }
+    Progress += PassCount;
 
-    if (!Deopt) {
-      if (T.IsBridge) {
-        // Completed bridge pass: control is back at the root's anchor.
-        // Counts as one anchor-to-anchor iteration of straight-line
-        // progress for the tree.
-        T.LifePasses.fetch_add(1, std::memory_order_relaxed);
-        RootProgress += 1;
-        AnyProgress = true;
-        Seg = &Root;
-        continue;
-      }
-      if (!T.MultiPass) {
-        FastFrame &Top = IO.Frames[AnchorIdx];
-        Top.Pc = T.AnchorPc;
-        Top.Block = T.AnchorBlock;
-        break;
-      }
-      continue; // guards and fuel re-checked at the top
-    }
-
-    // Mid-pass deopt. When it happened at anchor depth, this is a side
-    // exit: chase its bridge if one is stitched in, or ask the
-    // interpreter to record one once the exit proves hot.
-    bool Chase = false;
-    if (DS.size() == 1 && T.ExitDeopts && IO.LinkThreshold) {
-      std::atomic<uint32_t> &Ctr = T.ExitDeopts[DeoptK];
-      const uint32_t Prev = Ctr.load(std::memory_order_relaxed);
-      if (Prev != CompiledTrace::NoBridgeSentinel) {
-        uint32_t Now = Prev + 1;
-        if (Now >= CompiledTrace::NoBridgeSentinel)
-          Now = CompiledTrace::NoBridgeSentinel - 1;
-        Ctr.store(Now, std::memory_order_relaxed);
-        const CompiledTrace *Br =
-            T.BridgeAt[DeoptK].load(std::memory_order_acquire);
-        if (Br && !Br->Dead.load(std::memory_order_relaxed)) {
-          Seg = Br;
-          Chase = true;
-        } else if (!Br && Now == IO.LinkThreshold) {
-          IO.BridgeParent = &T;
-          IO.BridgeStep = static_cast<uint32_t>(DeoptK);
-        }
-      }
-    }
-    if (T.IsBridge) {
-      // A bridge that keeps dying mid-pass is churn like any other trace;
-      // its completion rate (LifePasses counts completions only) decides.
-      const uint64_t BE = T.LifeEnters.load(std::memory_order_relaxed);
-      const uint64_t BP = T.LifePasses.load(std::memory_order_relaxed);
-      if (BE >= CompiledTrace::RetireCheckEnters && BP * 4 < BE &&
-          !T.Dead.exchange(true, std::memory_order_relaxed))
-        ++IO.Stats.Retired;
-    }
-    if (!Chase)
+    if (Deopt)
       break;
+    if (!T.MultiPass) {
+      FastFrame &Top = IO.Frames[AnchorIdx];
+      Top.Pc = T.AnchorPc;
+      Top.Block = T.AnchorBlock;
+      break;
+    }
+    // Guards and fuel are re-checked at the top.
   }
 
   // Adaptive retirement (see CompiledTrace): once the lifetime average
-  // drops under one completed anchor-to-anchor iteration per enter, the
-  // tree is churn — every enter pays setup plus the deopt restore for no
-  // straight-line progress. Blacklisting the anchor keeps this runtime
-  // from re-recording it.
+  // drops under one completed pass per enter, the trace is churn — every
+  // enter pays setup plus the deopt restore for no straight-line progress.
+  // Blacklisting the anchor keeps this runtime from re-recording it.
   const uint64_t Enters =
-      Root.LifeEnters.fetch_add(1, std::memory_order_relaxed) + 1;
+      T.LifeEnters.fetch_add(1, std::memory_order_relaxed) + 1;
   const uint64_t Passes =
-      Root.LifePasses.fetch_add(RootProgress, std::memory_order_relaxed) +
-      RootProgress;
+      T.LifePasses.fetch_add(Progress, std::memory_order_relaxed) + Progress;
   if (Enters >= CompiledTrace::RetireCheckEnters && Passes < Enters &&
-      !Root.Dead.exchange(true, std::memory_order_relaxed)) {
-    IO.Prof.Tier.blacklistAnchor(Root.FuncId, Root.AnchorPc);
+      !T.Dead.exchange(true, std::memory_order_relaxed)) {
+    IO.Prof.Tier.blacklistAnchor(T.FuncId, T.AnchorPc);
     ++IO.Stats.Retired;
   }
 }

@@ -114,17 +114,18 @@ struct TraceTierStats {
   uint64_t Aborted = 0;    ///< recordings abandoned (caps, unsupported shape)
   uint64_t Enters = 0;     ///< times the dispatch loop entered a trace
   uint64_t Passes = 0;     ///< full straight-line passes executed
-  /// Enters rejected by the entry-guard check before a single pass (or
-  /// bridge segment) ran. Distinct from Deopts: an entry reject costs one
-  /// guard sweep and nothing else, while a mid-pass deopt abandons partial
-  /// straight-line work. The retirement heuristic and the bench columns
-  /// consume them separately.
+  /// Enters rejected by the entry-guard check before a single pass ran.
+  /// Distinct from Deopts: an entry reject costs one guard sweep and
+  /// nothing else, while a mid-pass deopt abandons partial straight-line
+  /// work. The retirement heuristic and the bench columns consume them
+  /// separately.
   uint64_t EntryRejects = 0;
   uint64_t Deopts = 0;     ///< mid-pass guard exits back to the plan
   uint64_t TraceSteps = 0; ///< base-step equivalents retired inside traces
   uint64_t Retired = 0;    ///< traces marked dead for persistent churn
-  uint64_t Bridges = 0;      ///< bridge traces compiled and linked this run
-  uint64_t BridgeEnters = 0; ///< side exits continued into a bridge trace
+  /// Always 0 (traces run anchor to anchor; nothing links side exits);
+  /// kept because the benchmark harness reports `interp.trace.bridges`.
+  uint64_t Bridges = 0;
 };
 
 //===----------------------------------------------------------------------===//
@@ -156,33 +157,15 @@ public:
              const ProfileRuntime &Prof) {
     Recording = true;
     Abort = false;
-    Bridge = false;
     Depth = 0;
     Func = FuncId;
     Pc = AnchorPc;
     Block = AnchorBlock;
-    EndF = FuncId;
-    EndP = AnchorPc;
     Events.clear();
     Snap.Fr = Anchor;
     Snap.Loops.assign(Slots, Slots + NumSlots);
     Snap.Shadow = Prof.ShadowStack;
     Snap.Pending = Prof.Pending;
-  }
-
-  /// Arms a *bridge* recording: starts at a parent trace's side exit (the
-  /// deopt resume point, usually mid-block) and ends when control next
-  /// reaches the parent's anchor at equal depth. The live state at the
-  /// call site *is* the snapshot — the caller invokes this at the exact
-  /// resume point, before any further instruction runs.
-  void beginBridge(uint32_t FuncId, uint32_t StartPc, uint32_t StartBlock,
-                   uint32_t EndFunc, uint32_t EndPc, const FastFrame &Cur,
-                   const LoopRegs *Slots, uint32_t NumSlots,
-                   const ProfileRuntime &Prof) {
-    begin(FuncId, StartPc, StartBlock, Cur, Slots, NumSlots, Prof);
-    Bridge = true;
-    EndF = EndFunc;
-    EndP = EndPc;
   }
 
   void clear() { Recording = false; }
@@ -204,13 +187,10 @@ public:
 
   bool recording() const { return Recording; }
   bool aborted() const { return Abort; }
-  bool bridge() const { return Bridge; }
   int depth() const { return Depth; }
   uint32_t anchorFunc() const { return Func; }
   uint32_t anchorPc() const { return Pc; }
   uint32_t anchorBlock() const { return Block; }
-  uint32_t endFunc() const { return EndF; }
-  uint32_t endPc() const { return EndP; }
   const std::vector<TraceEvent> &events() const { return Events; }
   const TraceSnapshot &snapshot() const { return Snap; }
 
@@ -224,10 +204,8 @@ private:
 
   bool Recording = false;
   bool Abort = false;
-  bool Bridge = false;
   int Depth = 0;
   uint32_t Func = 0, Pc = 0, Block = 0;
-  uint32_t EndF = 0, EndP = 0;
   std::vector<TraceEvent> Events;
   TraceSnapshot Snap;
 };
@@ -409,21 +387,13 @@ struct GuardBudget {
 };
 
 /// A compiled straight-line loop pass, anchored at a taken backward branch
-/// target — or a *bridge*: a straight line from a parent trace's side exit
-/// back to the parent's anchor (IsBridge below). Immutable after
-/// compilation; references only plan-owned data, so it is safe to share
-/// across every interpreter of the plan.
+/// target. Immutable after compilation apart from the retirement tallies;
+/// references only plan-owned data, so it is safe to share across every
+/// interpreter of the plan.
 struct CompiledTrace {
-  /// Anchor traces: the loop anchor. Bridges: FuncId/AnchorPc/AnchorBlock
-  /// are the *parent's* anchor (where a completed bridge pass lands);
-  /// StartPc/StartBlock are the side-exit resume point the bridge begins
-  /// at.
   uint32_t FuncId = 0;
   uint32_t AnchorPc = 0;
   uint32_t AnchorBlock = 0;
-  uint32_t StartPc = 0;
-  uint32_t StartBlock = 0;
-  bool IsBridge = false;
 
   std::vector<TraceGuard> Guards;
   std::vector<TraceStep> Steps;
@@ -463,29 +433,6 @@ struct CompiledTrace {
   mutable std::atomic<uint64_t> LifeEnters{0};
   mutable std::atomic<uint64_t> LifePasses{0};
   mutable std::atomic<bool> Dead{false};
-
-  /// Side-exit linking (trace trees). Per-step tables sized Steps.size(),
-  /// allocated by the cache at install time (prepareRuntime). ExitDeopts
-  /// counts anchor-depth mid-pass deopts at each step; crossing the link
-  /// threshold asks the interpreter to record a bridge from that exit, and
-  /// the sentinel marks an exit whose bridge recording failed (never asked
-  /// again). BridgeAt publishes the stitched-in bridge, first install
-  /// wins.
-  static constexpr uint32_t NoBridgeSentinel = UINT32_MAX;
-  std::unique_ptr<std::atomic<uint32_t>[]> ExitDeopts;
-  std::unique_ptr<std::atomic<const CompiledTrace *>[]> BridgeAt;
-
-  /// Allocates the runtime link tables (idempotent).
-  void prepareRuntime() {
-    if (ExitDeopts || Steps.empty())
-      return;
-    ExitDeopts.reset(new std::atomic<uint32_t>[Steps.size()]);
-    BridgeAt.reset(new std::atomic<const CompiledTrace *>[Steps.size()]);
-    for (size_t I = 0; I < Steps.size(); ++I) {
-      ExitDeopts[I].store(0, std::memory_order_relaxed);
-      BridgeAt[I].store(nullptr, std::memory_order_relaxed);
-    }
-  }
 };
 
 //===----------------------------------------------------------------------===//
@@ -535,15 +482,7 @@ public:
   /// anchor already has a trace.
   bool install(std::unique_ptr<CompiledTrace> T);
 
-  /// Stitches \p B in as the bridge for \p Parent's side exit at step
-  /// \p Step. First bridge per exit wins; returns false (and frees B) when
-  /// the exit already has one. The cache owns the bridge for the plan's
-  /// lifetime, like any other trace.
-  bool installBridge(const CompiledTrace &Parent, uint32_t Step,
-                     std::unique_ptr<CompiledTrace> B);
-
-  /// Every trace this cache owns (anchors and bridges, dead ones
-  /// included), in install order. Test/dump helper; takes the install
+  /// Every trace this cache owns (dead ones included), in install order. Test/dump helper; takes the install
   /// lock.
   std::vector<const CompiledTrace *> all() const;
 
@@ -562,16 +501,15 @@ private:
 /// settings differ in any field must never share compiled traces, because
 /// the traces themselves differ (recording threshold changes which anchors
 /// get recorded and when; the optimizer and the planted fault change the
-/// compiled bodies; the link threshold changes which bridges exist).
+/// compiled bodies).
 struct TraceSettings {
   uint32_t Threshold = 32;     ///< hotness threshold (0 = first completion)
-  uint32_t LinkThreshold = 8;  ///< side-exit deopts before bridging (0 = off)
   bool Optimize = false;       ///< guard pass budgets (interp/TraceOpt.h)
   bool FaultDropGuard = false; ///< fuzz-only planted optimizer bug
 
   bool operator==(const TraceSettings &O) const {
-    return Threshold == O.Threshold && LinkThreshold == O.LinkThreshold &&
-           Optimize == O.Optimize && FaultDropGuard == O.FaultDropGuard;
+    return Threshold == O.Threshold && Optimize == O.Optimize &&
+           FaultDropGuard == O.FaultDropGuard;
   }
 };
 
@@ -643,17 +581,6 @@ struct TraceRunIO {
   uint64_t &Blocks;
   uint64_t &Calls;
   TraceTierStats &Stats;
-
-  /// Side-exit linking policy: a side exit whose anchor-depth deopt count
-  /// reaches exactly LinkThreshold requests a bridge recording (0 = never
-  /// link).
-  uint32_t LinkThreshold = 0;
-
-  /// Out: set when the run wants a bridge recorded for Parent's side exit
-  /// at step BridgeStep. The interpreter arms the recorder at the resume
-  /// point it is about to dispatch from.
-  const CompiledTrace *BridgeParent = nullptr;
-  uint32_t BridgeStep = 0;
 };
 
 /// Runs \p T until a guard, fault condition or the fuel precondition stops

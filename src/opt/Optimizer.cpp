@@ -181,47 +181,3 @@ bool olpp::optimizeModule(const Module &Pristine, const ProfileArtifact &A,
   Out.OptModule = std::move(OM);
   return true;
 }
-
-//===----------------------------------------------------------------------===//
-// Trace-tier seeding
-//===----------------------------------------------------------------------===//
-
-std::vector<HotPathSeed>
-olpp::collectHotLoopPaths(const ProfileArtifact &A,
-                          const ModuleInstrumentation &MI, uint64_t MinCount,
-                          size_t MaxSeeds) {
-  std::vector<HotPathSeed> Out;
-  const size_t NumF = std::min(MI.Funcs.size(), A.Counters.PathCounts.size());
-  for (uint32_t F = 0; F < NumF; ++F) {
-    if (!MI.Funcs[F].PG)
-      continue;
-    for (const DecodedEntry &E :
-         decodeProfile(*MI.Funcs[F].PG, A.Counters.PathCounts[F])) {
-      // Only overlapping (suffix-carrying) backedge paths: their ids live
-      // in the id space the interpreter feeds to noteHot. Plain-BL backedge
-      // ids do not, and seeding them would heat the wrong table entries.
-      if (E.End != PathEnd::Backedge || E.Suffix.empty() || E.Count < MinCount)
-        continue;
-      Out.push_back({F, E.Id, E.Count});
-    }
-  }
-  std::sort(Out.begin(), Out.end(),
-            [](const HotPathSeed &X, const HotPathSeed &Y) {
-              if (X.Count != Y.Count)
-                return X.Count > Y.Count;
-              if (X.Func != Y.Func)
-                return X.Func < Y.Func;
-              return X.Id < Y.Id;
-            });
-  if (Out.size() > MaxSeeds)
-    Out.resize(MaxSeeds);
-  return Out;
-}
-
-void olpp::seedTraceTier(ProfileRuntime &Prof,
-                         const std::vector<HotPathSeed> &Seeds) {
-  for (const HotPathSeed &S : Seeds)
-    Prof.Tier.seed(S.Func, S.Id,
-                   static_cast<uint32_t>(
-                       std::min<uint64_t>(S.Count, UINT32_MAX)));
-}

@@ -32,12 +32,6 @@
 /// must both pass on it — `olpp opt` enforces this) and can be profiled
 /// again for the next iteration of the loop.
 ///
-/// The third consumer of the artifact lives here too: collectHotLoopPaths /
-/// seedTraceTier pre-heat the execution tier's hotness table
-/// (ProfileRuntime::TraceTierState) from the persisted counters, so
-/// `olpp run` given `--profile` arms trace recording on the
-/// first live completion instead of re-measuring heat over a warmup run.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef OLPP_OPT_OPTIMIZER_H
@@ -163,29 +157,6 @@ bool inlineCallSite(Module &M, Function &Caller, uint32_t BlockId,
 bool formSuperblock(Function &F, const std::vector<uint32_t> &Trace,
                     uint32_t &DuplicatedBlocks, uint32_t &MergedBlocks,
                     std::string &SkipReason);
-
-//===----------------------------------------------------------------------===//
-// Trace-tier seeding (the artifact-driven warmup skip)
-//===----------------------------------------------------------------------===//
-
-/// One hot overlapping path id worth pre-heating the tracing tier with.
-struct HotPathSeed {
-  uint32_t Func = 0;
-  int64_t Id = 0;
-  uint64_t Count = 0;
-};
-
-/// The artifact's hot loop-interesting path ids (Backedge-ended decoded
-/// entries), hottest first, capped at \p MaxSeeds and floored at
-/// \p MinCount. The ids are in the same space the interpreter feeds to
-/// TraceTierState::noteHot, so seeding them reproduces warmed-up heat.
-std::vector<HotPathSeed> collectHotLoopPaths(const ProfileArtifact &A,
-                                             const ModuleInstrumentation &MI,
-                                             uint64_t MinCount,
-                                             size_t MaxSeeds);
-
-/// Installs \p Seeds into \p Prof's tracing-tier hotness table.
-void seedTraceTier(ProfileRuntime &Prof, const std::vector<HotPathSeed> &Seeds);
 
 } // namespace olpp
 

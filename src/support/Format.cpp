@@ -50,3 +50,22 @@ std::string olpp::padRight(const std::string &S, size_t Width) {
     return S;
   return S + std::string(Width - S.size(), ' ');
 }
+
+bool olpp::parseUnsigned(const char *Text, uint64_t Min, uint64_t Max,
+                         uint64_t &Out) {
+  if (!Text || !*Text)
+    return false;
+  uint64_t V = 0;
+  for (const char *C = Text; *C; ++C) {
+    if (*C < '0' || *C > '9')
+      return false;
+    const uint64_t D = static_cast<uint64_t>(*C - '0');
+    if (V > (UINT64_MAX - D) / 10)
+      return false;
+    V = V * 10 + D;
+  }
+  if (V < Min || V > Max)
+    return false;
+  Out = V;
+  return true;
+}

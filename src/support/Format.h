@@ -35,6 +35,12 @@ std::string padLeft(const std::string &S, size_t Width);
 /// Right-pads \p S with spaces to at least \p Width characters.
 std::string padRight(const std::string &S, size_t Width);
 
+/// Parses all of \p Text as a decimal unsigned integer in [\p Min, \p Max].
+/// Returns false, leaving \p Out untouched, on an empty string, a sign,
+/// whitespace or any other non-digit, overflow, or a value out of range.
+bool parseUnsigned(const char *Text, uint64_t Min, uint64_t Max,
+                   uint64_t &Out);
+
 } // namespace olpp
 
 #endif // OLPP_SUPPORT_FORMAT_H

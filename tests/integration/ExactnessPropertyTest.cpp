@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 using namespace olpp;
 
@@ -33,6 +34,12 @@ struct Case {
   uint64_t Seed;
   bool AllowCalls;
 };
+
+// Without this gtest prints the raw bytes of Case, padding included, into
+// every test name ctest registers, so the names would vary by build.
+void PrintTo(const Case &C, std::ostream *OS) {
+  *OS << "seed " << C.Seed << (C.AllowCalls ? ", calls" : ", no calls");
+}
 
 class ExactnessProperty : public ::testing::TestWithParam<Case> {};
 

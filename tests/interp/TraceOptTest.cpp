@@ -10,15 +10,13 @@
 // invisibility the tier itself promises — bit-identical observables
 // against both the reference engine and the unoptimized fast engine.
 //
-// Three layers of evidence here:
+// Two layers of evidence here:
 //  - Golden dumps: the exact pre/post optimizer trace bodies of three
 //    canonical workloads (constant-heavy, branchy, cross-procedure),
 //    pinned as full-text goldens so any optimizer change is a visible diff.
 //  - Property tests: randomized inputs and a fuel-budget sweep comparing
 //    reference vs optimized vs unoptimized runs — deopt and abort states
 //    inside a budgeted batch of passes must be bit-exact.
-//  - Feasibility cross-check: statically infeasible path ids in
-//    RunConfig::TraceFacts must veto trace installation, never semantics.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +32,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -104,14 +101,13 @@ std::unique_ptr<Observation> runOnce(const Program &P,
   return Obs;
 }
 
-/// Fast config that records on the first hot backedge, never links bridges
-/// (deterministic single-trace caches), with the optimizer toggled.
+/// Fast config that records on the first hot backedge, with the optimizer
+/// toggled.
 RunConfig optConfig(bool Opt) {
   RunConfig RC;
   RC.Engine = EngineKind::Fast;
   RC.EnableTraces = true;
   RC.TraceThreshold = 1;
-  RC.TraceLinkThreshold = 0;
   RC.EnableTraceOpt = Opt;
   return RC;
 }
@@ -130,7 +126,7 @@ std::string dumpSingleTrace(const Program &P, bool Opt) {
   auto Plan = ExecPlanCache::global().get(*P.M);
   if (!Plan || !Plan->Traces)
     return "<no plan>";
-  const TraceSettings S{1, 0, Opt, false};
+  const TraceSettings S{1, Opt, false};
   PlanTraceCache *TC = Plan->Traces->forSettings(S);
   std::vector<const CompiledTrace *> All = TC->all();
   if (All.size() != 1)
@@ -194,7 +190,7 @@ const char *CallSource = R"(
 )";
 
 const char *FoldPreGolden =
-    R"(trace func=0 anchor=4@1 start=4@1 multipass=1 basesteps=20 budgeted=0
+    R"(trace func=0 anchor=4@1 multipass=1 basesteps=20 budgeted=0
 guards: 5
   [0] LoopActive slot=0 v=1
   [1] ActiveI slot=0 v=0
@@ -235,7 +231,7 @@ bumps: 1
 )";
 
 const char *FoldPostGolden =
-    R"(trace func=0 anchor=4@1 start=4@1 multipass=1 basesteps=20 budgeted=1
+    R"(trace func=0 anchor=4@1 multipass=1 basesteps=20 budgeted=1
 guards: 5
   [0] LoopActive slot=0 v=1 budget=inf
   [1] ActiveI slot=0 v=0 budget=inf
@@ -276,7 +272,7 @@ bumps: 1
 )";
 
 const char *GuardPreGolden =
-    R"(trace func=0 anchor=4@1 start=4@1 multipass=1 basesteps=20 budgeted=0
+    R"(trace func=0 anchor=4@1 multipass=1 basesteps=20 budgeted=0
 guards: 5
   [0] LoopActive slot=0 v=1
   [1] ActiveI slot=0 v=0
@@ -317,7 +313,7 @@ bumps: 1
 )";
 
 const char *GuardPostGolden =
-    R"(trace func=0 anchor=4@1 start=4@1 multipass=1 basesteps=20 budgeted=1
+    R"(trace func=0 anchor=4@1 multipass=1 basesteps=20 budgeted=1
 guards: 5
   [0] LoopActive slot=0 v=1 budget=inf
   [1] ActiveI slot=0 v=0 budget=inf
@@ -358,7 +354,7 @@ bumps: 1
 )";
 
 const char *CallPreGolden =
-    R"(trace func=1 anchor=15@3 start=15@3 multipass=1 basesteps=25 budgeted=0
+    R"(trace func=1 anchor=15@3 multipass=1 basesteps=25 budgeted=0
 guards: 7
   [0] ActiveII slot=0 v=1
   [1] CallSiteII slot=0 v=0
@@ -433,7 +429,7 @@ bumps: 5
 )";
 
 const char *CallPostGolden =
-    R"(trace func=1 anchor=15@3 start=15@3 multipass=1 basesteps=25 budgeted=1
+    R"(trace func=1 anchor=15@3 multipass=1 basesteps=25 budgeted=1
 guards: 7
   [0] ActiveII slot=0 v=1 budget=inf
   [1] CallSiteII slot=0 v=0 budget=inf
@@ -618,7 +614,7 @@ TEST(TraceOptTest, RandomizedInputsMatchReferenceAndUnoptimized) {
   auto Plan = ExecPlanCache::global().get(*P.M);
   ASSERT_TRUE(Plan && Plan->Traces);
   PlanTraceCache *TC =
-      Plan->Traces->forSettings(TraceSettings{1, 0, true, false});
+      Plan->Traces->forSettings(TraceSettings{1, true, false});
   ASSERT_FALSE(TC->all().empty());
   for (const CompiledTrace *T : TC->all())
     EXPECT_TRUE(T->Budgeted);
@@ -660,62 +656,6 @@ TEST(TraceOptTest, AbortAtEveryBudgetBitExactUnderOptimizer) {
     expectSameCounters(Ref->Prof, Opt->Prof,
                        "abort budget " + std::to_string(Budget));
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Feasibility cross-check
-//===----------------------------------------------------------------------===//
-
-// Same shape as the golden fold program, fresh text so the process-wide
-// plan cache gives this test its own plan (and thus trace caches).
-const char *FeasibilitySource = R"(
-  global acc;
-  fn main(n) {
-    var i = 0;
-    while (i < n) {
-      var t = 11;
-      acc = acc + t + i;
-      i = i + 1;
-    }
-    return acc;
-  }
-)";
-
-TEST(TraceOptTest, InfeasibleFactsVetoTracesWithoutChangingSemantics) {
-  Program P = compileInstrumented(FeasibilitySource);
-  ASSERT_NE(P.Main, nullptr);
-  const std::vector<int64_t> Args{50};
-
-  auto Ref = runOnce(P, Args, referenceConfig());
-  ASSERT_TRUE(Ref->Res.Ok) << Ref->Res.Error;
-
-  // Facts marking every path id infeasible: the cross-check must reject
-  // each compiled trace (a deliberately-poisoned oracle), leaving zero
-  // trace executions but bit-identical behavior.
-  TraceFeasibilityFacts Poison;
-  for (uint32_t F = 0; F < P.M->numFunctions(); ++F)
-    Poison.PerFunc.push_back(
-        {F, {{0, std::numeric_limits<int64_t>::max()}}});
-
-  RunConfig RC = optConfig(true);
-  RC.TraceFacts = &Poison;
-  auto Vetoed = runOnce(P, Args, RC);
-  ASSERT_TRUE(Vetoed->Res.Ok) << Vetoed->Res.Error;
-  EXPECT_EQ(Vetoed->Res.Trace.Enters, 0u);
-  EXPECT_EQ(Ref->Res.ReturnValue, Vetoed->Res.ReturnValue);
-  EXPECT_TRUE(Ref->Res.Counts == Vetoed->Res.Counts);
-  expectSameCounters(Ref->Prof, Vetoed->Prof, "vetoed");
-
-  // Empty facts (nothing infeasible) must not veto anything.
-  TraceFeasibilityFacts Empty;
-  RunConfig RC2 = optConfig(true);
-  RC2.TraceFacts = &Empty;
-  auto Clean = runOnce(P, Args, RC2);
-  ASSERT_TRUE(Clean->Res.Ok) << Clean->Res.Error;
-  EXPECT_GE(Clean->Res.Trace.Enters, 1u);
-  EXPECT_EQ(Ref->Res.ReturnValue, Clean->Res.ReturnValue);
-  EXPECT_TRUE(Ref->Res.Counts == Clean->Res.Counts);
-  expectSameCounters(Ref->Prof, Clean->Prof, "clean facts");
 }
 
 } // namespace

@@ -239,42 +239,74 @@ TEST(TraceTierTest, CalleeMismatchDeoptsAtEveryIteration) {
   EXPECT_GT(TotalDeopts, 0u);
 }
 
+// A loop that diverges every 8th iteration. With degree-2 overlap a trace
+// pass covers two iterations, so an alternating branch would be a *stable*
+// pattern; period 8 is aperiodic at pass granularity and leaves the trace
+// through the same side exit every 4th pass.
+const char *SideExitSource = R"(
+  global acc;
+  fn main(n) {
+    var i = 0;
+    while (i < n) {
+      if ((i & 7) == 3) {
+        acc = acc + i * 3;
+      } else {
+        acc = acc + 2;
+      }
+      i = i + 1;
+    }
+    return acc;
+  }
+)";
+
 // Abort at every fuel budget: with a threshold of 1 traces install almost
-// immediately, so budgets land before, inside and after trace passes. The
-// aborted run must match the reference abort bit for bit (same error, same
-// counts, same counters), and resetTransient must restore the between-runs
-// invariant — mirroring the PR 2 stale-shadow-stack sweep.
+// immediately, so budgets land before, inside and after trace passes (and,
+// in the side-exit loop, around its recurring mid-pass deopts). The aborted
+// run must match the reference abort bit for bit (same error, same counts,
+// same counters), and resetTransient must restore the between-runs
+// invariant — mirroring the stale-shadow-stack sweep.
 TEST(TraceTierTest, AbortAtEveryBudgetMatchesReference) {
-  Program P = compileInstrumented(HotLoopSource);
-  ASSERT_NE(P.Main, nullptr);
-  const std::vector<int64_t> Args{25};
+  struct Input {
+    const char *Name;
+    const char *Source;
+    int64_t N;
+    uint64_t MinDeopts; ///< mid-pass side exits the full run must take
+  };
+  for (const Input &In : {Input{"hot loop", HotLoopSource, 25, 0},
+                          Input{"side exit", SideExitSource, 24, 1}}) {
+    SCOPED_TRACE(In.Name);
+    Program P = compileInstrumented(In.Source);
+    ASSERT_NE(P.Main, nullptr);
+    const std::vector<int64_t> Args{In.N};
 
-  RunConfig Full = tracedConfig();
-  Full.MaxSteps = 1'000'000;
-  auto FullRun = runOnce(P, Args, Full);
-  ASSERT_TRUE(FullRun->Res.Ok) << FullRun->Res.Error;
-  ASSERT_GE(FullRun->Res.Trace.Recorded, 1u);
-  const uint64_t FullSteps = FullRun->Res.Counts.Steps;
-  ASSERT_GT(FullSteps, 10u);
+    RunConfig Full = tracedConfig();
+    Full.MaxSteps = 1'000'000;
+    auto FullRun = runOnce(P, Args, Full);
+    ASSERT_TRUE(FullRun->Res.Ok) << FullRun->Res.Error;
+    ASSERT_GE(FullRun->Res.Trace.Recorded, 1u);
+    ASSERT_GE(FullRun->Res.Trace.Deopts, In.MinDeopts);
+    const uint64_t FullSteps = FullRun->Res.Counts.Steps;
+    ASSERT_GT(FullSteps, 10u);
 
-  for (uint64_t Budget = 1; Budget < FullSteps; ++Budget) {
-    RunConfig RRef = referenceConfig();
-    RRef.MaxSteps = Budget;
-    RunConfig RFast = tracedConfig();
-    RFast.MaxSteps = Budget;
+    for (uint64_t Budget = 1; Budget < FullSteps; ++Budget) {
+      RunConfig RRef = referenceConfig();
+      RRef.MaxSteps = Budget;
+      RunConfig RFast = tracedConfig();
+      RFast.MaxSteps = Budget;
 
-    auto Ref = runOnce(P, Args, RRef);
-    auto Fast = runOnce(P, Args, RFast);
-    ASSERT_FALSE(Ref->Res.Ok) << "budget " << Budget;
-    ASSERT_FALSE(Fast->Res.Ok) << "budget " << Budget;
-    ASSERT_EQ(Ref->Res.Error, Fast->Res.Error) << "budget " << Budget;
-    ASSERT_TRUE(Ref->Res.Counts == Fast->Res.Counts) << "budget " << Budget;
-    expectSameCounters(Ref->Prof, Fast->Prof,
-                       "abort budget " + std::to_string(Budget));
+      auto Ref = runOnce(P, Args, RRef);
+      auto Fast = runOnce(P, Args, RFast);
+      ASSERT_FALSE(Ref->Res.Ok) << "budget " << Budget;
+      ASSERT_FALSE(Fast->Res.Ok) << "budget " << Budget;
+      ASSERT_EQ(Ref->Res.Error, Fast->Res.Error) << "budget " << Budget;
+      ASSERT_TRUE(Ref->Res.Counts == Fast->Res.Counts) << "budget " << Budget;
+      expectSameCounters(Ref->Prof, Fast->Prof,
+                         "abort budget " + std::to_string(Budget));
 
-    // Whatever the abort stranded, resetTransient recovers it.
-    Fast->Prof.resetTransient();
-    ASSERT_TRUE(Fast->Prof.transientClean()) << "budget " << Budget;
+      // Whatever the abort stranded, resetTransient recovers it.
+      Fast->Prof.resetTransient();
+      ASSERT_TRUE(Fast->Prof.transientClean()) << "budget " << Budget;
+    }
   }
 }
 
@@ -407,163 +439,6 @@ TEST(TraceTierTest, DifferentThresholdsNeverShareRecordedTraces) {
   ASSERT_TRUE(Ref->Res.Ok);
   EXPECT_TRUE(Ref->Res.Counts == Cold->Res.Counts);
   expectSameCounters(Ref->Prof, Cold->Prof, "cold threshold after hot");
-}
-
-// The artifact-driven warmup skip: seeding the hotness table with persisted
-// heat arms recording on the first live completion, where an unseeded
-// runtime with the same threshold would still be counting.
-TEST(TraceTierTest, SeededHotnessArmsWithoutWarmup) {
-  ProfileRuntime Prof(1);
-  Prof.Tier.seed(0, 42, 100);
-  EXPECT_LT(Prof.Tier.PendingRecord, 0);
-  Prof.Tier.noteHot(0, 42, /*Threshold=*/50);
-  EXPECT_EQ(Prof.Tier.PendingRecord, 0);
-
-  // Unseeded: the same single completion is far below threshold.
-  ProfileRuntime Fresh(1);
-  Fresh.Tier.noteHot(0, 42, /*Threshold=*/50);
-  EXPECT_LT(Fresh.Tier.PendingRecord, 0);
-
-  // Seeding is idempotent and keeps the larger count.
-  Prof.Tier.reset();
-  Prof.Tier.seed(0, 7, 10);
-  Prof.Tier.seed(0, 7, 3);
-  Prof.Tier.noteHot(0, 7, /*Threshold=*/11);
-  EXPECT_EQ(Prof.Tier.PendingRecord, 0);
-}
-
-// A loop that diverges every 8th iteration. With degree-2 overlap a trace
-// pass covers two iterations, so an alternating branch would be a *stable*
-// pattern; period 8 is aperiodic at pass granularity and hits the same
-// side exit every 4th pass — the canonical bridge shape.
-const char *BridgeSource = R"(
-  global acc;
-  fn main(n) {
-    var i = 0;
-    while (i < n) {
-      if ((i & 7) == 5) {
-        acc = acc + i * 2;
-      } else {
-        acc = acc + 1;
-      }
-      i = i + 1;
-    }
-    return acc;
-  }
-)";
-
-RunConfig bridgedConfig(uint32_t LinkThreshold) {
-  RunConfig RC = tracedConfig(/*Threshold=*/1);
-  RC.TraceLinkThreshold = LinkThreshold;
-  return RC;
-}
-
-// Side-exit linking end to end: the hot exit records a bridge, the bridge
-// is stitched onto the parent, and later passes chase it back to the
-// anchor — all bit-exact against the reference.
-TEST(TraceTierTest, HotSideExitLinksBridgeAndStaysBitExact) {
-  Program P = compileInstrumented(BridgeSource);
-  ASSERT_NE(P.Main, nullptr);
-  const std::vector<int64_t> Args{400};
-
-  auto Ref = runOnce(P, Args, referenceConfig());
-  auto Fast = runOnce(P, Args, bridgedConfig(/*LinkThreshold=*/1));
-  ASSERT_TRUE(Ref->Res.Ok) << Ref->Res.Error;
-  ASSERT_TRUE(Fast->Res.Ok) << Fast->Res.Error;
-
-  EXPECT_GE(Fast->Res.Trace.Recorded, 1u);
-  EXPECT_GE(Fast->Res.Trace.Bridges, 1u);
-  EXPECT_GE(Fast->Res.Trace.BridgeEnters, 1u);
-
-  EXPECT_EQ(Ref->Res.ReturnValue, Fast->Res.ReturnValue);
-  EXPECT_TRUE(Ref->Res.Counts == Fast->Res.Counts);
-  expectSameCounters(Ref->Prof, Fast->Prof, "bridged run");
-}
-
-// --trace-link-threshold 0 disables linking outright: the same workload
-// must never compile a bridge or continue into one.
-TEST(TraceTierTest, LinkThresholdZeroNeverBridges) {
-  // Unique text so the shared plan cache keeps this test order-independent.
-  const char *Src = R"(
-    global acc;
-    fn main(n) {
-      var i = 0;
-      while (i < n) {
-        if ((i & 7) == 6) {
-          acc = acc + 7;
-        } else {
-          acc = acc + i;
-        }
-        i = i + 1;
-      }
-      return acc;
-    }
-  )";
-  Program P = compileInstrumented(Src);
-  ASSERT_NE(P.Main, nullptr);
-  const std::vector<int64_t> Args{400};
-
-  auto Ref = runOnce(P, Args, referenceConfig());
-  auto Fast = runOnce(P, Args, bridgedConfig(/*LinkThreshold=*/0));
-  ASSERT_TRUE(Ref->Res.Ok) << Ref->Res.Error;
-  ASSERT_TRUE(Fast->Res.Ok) << Fast->Res.Error;
-  EXPECT_GE(Fast->Res.Trace.Recorded, 1u);
-  EXPECT_EQ(Fast->Res.Trace.Bridges, 0u);
-  EXPECT_EQ(Fast->Res.Trace.BridgeEnters, 0u);
-  EXPECT_EQ(Ref->Res.ReturnValue, Fast->Res.ReturnValue);
-  EXPECT_TRUE(Ref->Res.Counts == Fast->Res.Counts);
-  expectSameCounters(Ref->Prof, Fast->Prof, "link threshold 0");
-}
-
-// Abort at every fuel budget with bridges linked at threshold 1: budgets
-// land before, inside and after bridge segments (including mid-bridge
-// recording), and every aborted state must equal the reference abort.
-TEST(TraceTierTest, AbortAtEveryBudgetMatchesReferenceWithBridges) {
-  // Unique text (same period-8 shape) for plan-cache hygiene.
-  const char *Src = R"(
-    global acc;
-    fn main(n) {
-      var i = 0;
-      while (i < n) {
-        if ((i & 7) == 3) {
-          acc = acc + i * 3;
-        } else {
-          acc = acc + 2;
-        }
-        i = i + 1;
-      }
-      return acc;
-    }
-  )";
-  Program P = compileInstrumented(Src);
-  ASSERT_NE(P.Main, nullptr);
-  const std::vector<int64_t> Args{24};
-
-  RunConfig Full = bridgedConfig(/*LinkThreshold=*/1);
-  Full.MaxSteps = 1'000'000;
-  auto FullRun = runOnce(P, Args, Full);
-  ASSERT_TRUE(FullRun->Res.Ok) << FullRun->Res.Error;
-  ASSERT_GE(FullRun->Res.Trace.Bridges, 1u);
-  const uint64_t FullSteps = FullRun->Res.Counts.Steps;
-  ASSERT_GT(FullSteps, 10u);
-
-  for (uint64_t Budget = 1; Budget < FullSteps; ++Budget) {
-    RunConfig RRef = referenceConfig();
-    RRef.MaxSteps = Budget;
-    RunConfig RFast = bridgedConfig(/*LinkThreshold=*/1);
-    RFast.MaxSteps = Budget;
-
-    auto Ref = runOnce(P, Args, RRef);
-    auto Fast = runOnce(P, Args, RFast);
-    ASSERT_FALSE(Ref->Res.Ok) << "budget " << Budget;
-    ASSERT_FALSE(Fast->Res.Ok) << "budget " << Budget;
-    ASSERT_EQ(Ref->Res.Error, Fast->Res.Error) << "budget " << Budget;
-    ASSERT_TRUE(Ref->Res.Counts == Fast->Res.Counts) << "budget " << Budget;
-    expectSameCounters(Ref->Prof, Fast->Prof,
-                       "bridge abort budget " + std::to_string(Budget));
-    Fast->Prof.resetTransient();
-    ASSERT_TRUE(Fast->Prof.transientClean()) << "budget " << Budget;
-  }
 }
 
 // --trace-threshold 0 means record on the first completed backedge: the

@@ -10,9 +10,9 @@
 // optimize -> profile loop has to close. These tests pin the transforms
 // (inlining, superblock formation), the skip conditions that keep them
 // sound (recursion, reachable void returns, loop-header tails), the
-// artifact-heat rankings, the trace-tier warmup seeding, and the rebind
-// failure mode: a stale-fingerprint artifact must be rejected with a clean
-// diagnostic and never a partially bound result.
+// artifact-heat rankings, and the rebind failure mode: a stale-fingerprint
+// artifact must be rejected with a clean diagnostic and never a partially
+// bound result.
 //
 //===----------------------------------------------------------------------===//
 
@@ -360,66 +360,6 @@ TEST(Optimizer, SuperblockRejectsLoopHeaderTail) {
   EXPECT_FALSE(formSuperblock(*Main, {Latch, Header}, Dup, Merged, Skip));
   EXPECT_EQ(Skip, "trace tail crosses an inner loop header")
       << "duplicating a loop header would make the CFG irreducible";
-}
-
-//===----------------------------------------------------------------------===//
-// Trace-tier seeding (the warmup skip)
-//===----------------------------------------------------------------------===//
-
-// Structurally like HotCallSource but a distinct program: execution plans
-// are shared by content fingerprint (interp/PlanCache.h), so the seeding
-// test needs a module no other test has already traced.
-const char *SeedOnlySource = R"(
-  global acc;
-  fn leaf(a, b) {
-    if (a > b) { return a - b + 2; }
-    return b - a + 2;
-  }
-  fn main(n) {
-    var i = 0;
-    while (i < n) {
-      acc = acc + leaf(i, acc & 15);
-      i = i + 1;
-    }
-    return acc;
-  }
-)";
-
-TEST(Optimizer, SeededRunArmsRecordingWithoutWarmup) {
-  // Profile a long run, persist, then replay a run far too short to cross
-  // the recording threshold by itself: unseeded it records nothing, seeded
-  // from the artifact it records on the first completion.
-  Profiled P = profileOnce(SeedOnlySource, {200});
-  ASSERT_TRUE(P.Pristine);
-  std::vector<HotPathSeed> Seeds = collectHotLoopPaths(P.Art, P.MI, 1, 64);
-  ASSERT_FALSE(Seeds.empty());
-  for (size_t I = 1; I < Seeds.size(); ++I)
-    EXPECT_GE(Seeds[I - 1].Count, Seeds[I].Count);
-
-  ArtifactBinding Bind;
-  std::vector<Diagnostic> Diags;
-  ASSERT_TRUE(bindArtifactToModule(*P.Pristine, P.Art, Bind, Diags))
-      << (Diags.empty() ? "(no diagnostic)" : Diags[0].str());
-
-  auto ShortRun = [&](bool Seeded) {
-    ProfileRuntime Prof(Bind.InstrModule->numFunctions());
-    for (uint32_t F = 0; F < Bind.InstrModule->numFunctions(); ++F)
-      if (Bind.MI.Funcs[F].PG)
-        Prof.configurePathStore(F, Bind.MI.Funcs[F].PG->numPaths());
-    if (Seeded)
-      seedTraceTier(Prof, Seeds);
-    Interpreter I(*Bind.InstrModule, &Prof);
-    RunConfig RC;
-    RC.Engine = EngineKind::Fast;
-    RC.EnableTraces = true;
-    RC.TraceThreshold = 32; // 8 iterations never reach this cold
-    const Function *Main = Bind.InstrModule->findFunction("main");
-    RunResult R = I.run(*Main, {8}, RC);
-    EXPECT_TRUE(R.Ok) << R.Error;
-    return R.Trace.Recorded;
-  };
-  EXPECT_EQ(ShortRun(false), 0u);
-  EXPECT_GE(ShortRun(true), 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -38,6 +38,31 @@ TEST(Format, Padding) {
   EXPECT_EQ(padLeft("abcd", 2), "abcd");
 }
 
+TEST(Format, ParseUnsignedTakesWholeInRangeDecimals) {
+  uint64_t V = 7;
+  EXPECT_TRUE(parseUnsigned("0", 0, 10, V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseUnsigned("4294967295", 0, UINT32_MAX, V));
+  EXPECT_EQ(V, 4294967295u);
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", 0, UINT64_MAX, V));
+  EXPECT_EQ(V, UINT64_MAX);
+  EXPECT_TRUE(parseUnsigned("007", 1, 10, V));
+  EXPECT_EQ(V, 7u);
+}
+
+TEST(Format, ParseUnsignedRejectsJunkSignsOverflowAndRange) {
+  uint64_t V = 42;
+  for (const char *Bad : {"", "abc", "4x", "x4", "-1", "+1", " 1", "1 ", "1.5",
+                          "0x10", "18446744073709551616",
+                          "99999999999999999999999"})
+    EXPECT_FALSE(parseUnsigned(Bad, 0, UINT64_MAX, V)) << "'" << Bad << "'";
+  EXPECT_FALSE(parseUnsigned(nullptr, 0, UINT64_MAX, V));
+  EXPECT_FALSE(parseUnsigned("0", 1, 10, V));
+  EXPECT_FALSE(parseUnsigned("11", 1, 10, V));
+  EXPECT_FALSE(parseUnsigned("4294967296", 0, UINT32_MAX, V));
+  EXPECT_EQ(V, 42u); // untouched on every failure
+}
+
 TEST(Rng, Deterministic) {
   Rng A(42), B(42);
   for (int I = 0; I < 100; ++I)
