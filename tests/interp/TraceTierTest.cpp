@@ -260,54 +260,55 @@ const char *SideExitSource = R"(
 )";
 
 // Abort at every fuel budget: with a threshold of 1 traces install almost
-// immediately, so budgets land before, inside and after trace passes (and,
-// in the side-exit loop, around its recurring mid-pass deopts). The aborted
-// run must match the reference abort bit for bit (same error, same counts,
-// same counters), and resetTransient must restore the between-runs
-// invariant — mirroring the stale-shadow-stack sweep.
-TEST(TraceTierTest, AbortAtEveryBudgetMatchesReference) {
-  struct Input {
-    const char *Name;
-    const char *Source;
-    int64_t N;
-    uint64_t MinDeopts; ///< mid-pass side exits the full run must take
-  };
-  for (const Input &In : {Input{"hot loop", HotLoopSource, 25, 0},
-                          Input{"side exit", SideExitSource, 24, 1}}) {
-    SCOPED_TRACE(In.Name);
-    Program P = compileInstrumented(In.Source);
-    ASSERT_NE(P.Main, nullptr);
-    const std::vector<int64_t> Args{In.N};
+// immediately, so budgets land before, inside and after trace passes. The
+// aborted run must match the reference abort bit for bit (same error, same
+// counts, same counters), and resetTransient must restore the between-runs
+// invariant — mirroring the stale-shadow-stack sweep. MinDeopts is the
+// number of mid-pass side exits the full run must take.
+void expectAbortAtEveryBudgetMatchesReference(const char *Source, int64_t N,
+                                              uint64_t MinDeopts) {
+  Program P = compileInstrumented(Source);
+  ASSERT_NE(P.Main, nullptr);
+  const std::vector<int64_t> Args{N};
 
-    RunConfig Full = tracedConfig();
-    Full.MaxSteps = 1'000'000;
-    auto FullRun = runOnce(P, Args, Full);
-    ASSERT_TRUE(FullRun->Res.Ok) << FullRun->Res.Error;
-    ASSERT_GE(FullRun->Res.Trace.Recorded, 1u);
-    ASSERT_GE(FullRun->Res.Trace.Deopts, In.MinDeopts);
-    const uint64_t FullSteps = FullRun->Res.Counts.Steps;
-    ASSERT_GT(FullSteps, 10u);
+  RunConfig Full = tracedConfig();
+  Full.MaxSteps = 1'000'000;
+  auto FullRun = runOnce(P, Args, Full);
+  ASSERT_TRUE(FullRun->Res.Ok) << FullRun->Res.Error;
+  ASSERT_GE(FullRun->Res.Trace.Recorded, 1u);
+  ASSERT_GE(FullRun->Res.Trace.Deopts, MinDeopts);
+  const uint64_t FullSteps = FullRun->Res.Counts.Steps;
+  ASSERT_GT(FullSteps, 10u);
 
-    for (uint64_t Budget = 1; Budget < FullSteps; ++Budget) {
-      RunConfig RRef = referenceConfig();
-      RRef.MaxSteps = Budget;
-      RunConfig RFast = tracedConfig();
-      RFast.MaxSteps = Budget;
+  for (uint64_t Budget = 1; Budget < FullSteps; ++Budget) {
+    RunConfig RRef = referenceConfig();
+    RRef.MaxSteps = Budget;
+    RunConfig RFast = tracedConfig();
+    RFast.MaxSteps = Budget;
 
-      auto Ref = runOnce(P, Args, RRef);
-      auto Fast = runOnce(P, Args, RFast);
-      ASSERT_FALSE(Ref->Res.Ok) << "budget " << Budget;
-      ASSERT_FALSE(Fast->Res.Ok) << "budget " << Budget;
-      ASSERT_EQ(Ref->Res.Error, Fast->Res.Error) << "budget " << Budget;
-      ASSERT_TRUE(Ref->Res.Counts == Fast->Res.Counts) << "budget " << Budget;
-      expectSameCounters(Ref->Prof, Fast->Prof,
-                         "abort budget " + std::to_string(Budget));
+    auto Ref = runOnce(P, Args, RRef);
+    auto Fast = runOnce(P, Args, RFast);
+    ASSERT_FALSE(Ref->Res.Ok) << "budget " << Budget;
+    ASSERT_FALSE(Fast->Res.Ok) << "budget " << Budget;
+    ASSERT_EQ(Ref->Res.Error, Fast->Res.Error) << "budget " << Budget;
+    ASSERT_TRUE(Ref->Res.Counts == Fast->Res.Counts) << "budget " << Budget;
+    expectSameCounters(Ref->Prof, Fast->Prof,
+                       "abort budget " + std::to_string(Budget));
 
-      // Whatever the abort stranded, resetTransient recovers it.
-      Fast->Prof.resetTransient();
-      ASSERT_TRUE(Fast->Prof.transientClean()) << "budget " << Budget;
-    }
+    // Whatever the abort stranded, resetTransient recovers it.
+    Fast->Prof.resetTransient();
+    ASSERT_TRUE(Fast->Prof.transientClean()) << "budget " << Budget;
   }
+}
+
+TEST(TraceTierTest, AbortAtEveryBudgetMatchesReference) {
+  expectAbortAtEveryBudgetMatchesReference(HotLoopSource, 25, 0);
+}
+
+// The side-exit loop leaves its trace mid-pass every 4th pass, so budgets
+// also land around those recurring deopts.
+TEST(TraceTierTest, AbortAtEveryBudgetMatchesReferenceAtSideExits) {
+  expectAbortAtEveryBudgetMatchesReference(SideExitSource, 24, 1);
 }
 
 // A hot-path arm (Tier.PendingRecord) left behind by an aborted run is
