@@ -55,6 +55,7 @@ int main(int Argc, char **Argv) {
       Config.Instr.InterprocDegree = static_cast<uint32_t>(K);
     }
     Config.Args = W->PrecisionArgs;
+    Config.CollectGroundTruth = true; // the Real flow the bounds bracket
     PipelineResult R = runPipeline(*CR.M, Config);
     if (!R.ok()) {
       std::fprintf(stderr, "error: %s\n", R.Errors[0].c_str());

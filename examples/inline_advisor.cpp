@@ -33,6 +33,7 @@ int main(int Argc, char **Argv) {
   Config.Instr.Interproc = true;
   Config.Instr.InterprocDegree = 3;
   Config.Args = W->PrecisionArgs;
+  Config.CollectGroundTruth = true; // the real Type I pair counts
   PipelineResult R = runPipelineOnSource(W->Source, Config);
   if (!R.ok()) {
     std::fprintf(stderr, "error: %s\n", R.Errors[0].c_str());

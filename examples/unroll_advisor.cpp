@@ -30,6 +30,7 @@ static EstimateMetrics estimateAt(const Workload &W, int Degree,
     Config.Instr.LoopDegree = static_cast<uint32_t>(Degree);
   }
   Config.Args = W.PrecisionArgs;
+  Config.CollectGroundTruth = true; // the Real flow the bounds bracket
   ROut = runPipelineOnSource(W.Source, Config);
   if (!ROut.ok()) {
     std::fprintf(stderr, "error: %s\n", ROut.Errors[0].c_str());

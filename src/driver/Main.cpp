@@ -156,7 +156,8 @@ int usage() {
       "instead of once per batch of guard pass budgets).\n"
       "\n"
       "A file name matching an embedded workload (e.g. 'mcf') may be used\n"
-      "in place of a path.\n",
+      "in place of a path. Program arguments (args...) are whole decimal\n"
+      "integers.\n",
       stderr);
   return 2;
 }
@@ -180,8 +181,11 @@ bool readSource(const std::string &Path, std::string &Out) {
 struct Parsed {
   std::string File;
   /// Positionals after File, verbatim (profdata takes several input files;
-  /// run/profile parse the same tokens as integers via Args).
+  /// run/profile/estimate/opt parse the same tokens as integers via Args).
   std::vector<std::string> ExtraFiles;
+  /// Some positional after File is not a whole decimal integer: a usage
+  /// error for the commands that take program arguments.
+  bool NonIntArg = false;
   uint32_t Degree = 1;
   bool Interproc = false;
   size_t Top = 10;
@@ -312,7 +316,11 @@ Parsed parseArgs(int Argc, char **Argv, int Start) {
       P.File = A;
     } else {
       P.ExtraFiles.push_back(A);
-      P.Args.push_back(std::strtoll(A.c_str(), nullptr, 10));
+      int64_t V = 0;
+      if (parseSigned(A.c_str(), V))
+        P.Args.push_back(V);
+      else
+        P.NonIntArg = true;
     }
   }
   P.Ok = !P.Bad && (!P.File.empty() || P.All);
@@ -390,15 +398,18 @@ int cmdIr(const Parsed &P) {
   return 0;
 }
 
-PipelineResult runPipelineFor(const Parsed &P, Module &M, bool Overlap) {
+/// Profiles \p M with overlapping loop (and, with --interproc,
+/// interprocedural) probes at --degree. \p GroundTruth also runs the
+/// pristine program traced and replays it into R.GT; only estimate's Real
+/// column reads it.
+PipelineResult runPipelineFor(const Parsed &P, Module &M, bool GroundTruth) {
   PipelineConfig Config;
-  if (Overlap) {
-    Config.Instr.LoopOverlap = true;
-    Config.Instr.LoopDegree = P.Degree;
-    if (P.Interproc) {
-      Config.Instr.Interproc = true;
-      Config.Instr.InterprocDegree = P.Degree;
-    }
+  Config.CollectGroundTruth = GroundTruth;
+  Config.Instr.LoopOverlap = true;
+  Config.Instr.LoopDegree = P.Degree;
+  if (P.Interproc) {
+    Config.Instr.Interproc = true;
+    Config.Instr.InterprocDegree = P.Degree;
   }
   Config.Args = fitArgs(P, M);
   Config.Run.Engine = P.Engine;
@@ -421,7 +432,7 @@ int cmdProfile(const Parsed &P) {
   auto M = compileOrFail(P.File);
   if (!M)
     return 2;
-  PipelineResult R = runPipelineFor(P, *M, /*Overlap=*/true);
+  PipelineResult R = runPipelineFor(P, *M, /*GroundTruth=*/false);
   if (P.Lint)
     emitLintFindings(P, R.Lint);
   if (!R.ok()) {
@@ -584,7 +595,7 @@ int cmdEstimate(const Parsed &P) {
     return 2;
   Parsed P2 = P;
   P2.Interproc = true; // estimation shows both dimensions
-  PipelineResult R = runPipelineFor(P2, *M, /*Overlap=*/true);
+  PipelineResult R = runPipelineFor(P2, *M, /*GroundTruth=*/true);
   if (!R.ok()) {
     std::fprintf(stderr, "error: %s\n", R.Errors[0].c_str());
     return 1;
@@ -1360,6 +1371,9 @@ int main(int Argc, char **Argv) {
   if (Cmd == "serve-bench")
     return P.Bad ? usage() : cmdServeBench(P);
   if (!P.Ok)
+    return usage();
+  if (P.NonIntArg &&
+      (Cmd == "run" || Cmd == "profile" || Cmd == "estimate" || Cmd == "opt"))
     return usage();
   if (Cmd == "run")
     return cmdRun(P);

@@ -49,18 +49,19 @@ PipelineResult olpp::runPipeline(const Module &M,
       return R;
   }
 
-  // 1. Baseline run with tracing.
+  // 1. Ground truth only: the pristine module runs with a trace sink, and
+  //    the trace is replayed into GroundTruth below.
   VectorTrace Trace;
-  {
-    Interpreter I(*R.BaseModule, nullptr,
-                  Config.CollectGroundTruth ? &Trace : nullptr);
+  int64_t BaseReturn = 0;
+  if (Config.CollectGroundTruth) {
+    Interpreter I(*R.BaseModule, nullptr, &Trace);
     RunResult Run = I.run(*Entry, Config.Args, Config.Run);
     if (!Run.Ok) {
       R.Errors.push_back("baseline run failed: " + Run.Error);
       return R;
     }
     R.BaseCounts = Run.Counts;
-    R.ReturnValue = Run.ReturnValue;
+    BaseReturn = Run.ReturnValue;
   }
 
   // 2. Instrument the clone and run it on the same inputs.
@@ -102,10 +103,18 @@ PipelineResult olpp::runPipeline(const Module &M,
       return R;
     }
     R.InstrCounts = Run.Counts;
-    if (Run.ReturnValue != R.ReturnValue) {
+    R.ReturnValue = Run.ReturnValue;
+    if (Config.CollectGroundTruth && Run.ReturnValue != BaseReturn) {
       R.Errors.push_back(
           "instrumented run returned a different value; probes are not "
           "transparent");
+      return R;
+    }
+    if (Config.CollectGroundTruth &&
+        Run.Counts.BaseCost != R.BaseCounts.BaseCost) {
+      R.Errors.push_back(
+          "instrumented run charged a different base cost; instrumentation "
+          "is not all probe cost");
       return R;
     }
   }

@@ -5,12 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one-call workflow used by the benches, examples and integration
-/// tests: given a module (or MiniC source) and instrumentation options,
-///   1. run the pristine module with tracing -> ground truth + base cost,
-///   2. instrument a clone and run it -> raw profiles + instrumented cost.
-/// Both runs see identical inputs, so the trace describes exactly the
-/// execution the profile summarizes.
+/// The one-call workflow behind `olpp profile` and `olpp estimate` and used
+/// by the benches, examples and integration tests: given a module (or
+/// MiniC source) and instrumentation options, instrument a clone and run
+/// it once -> raw profiles, return value, base and probe cost. That one
+/// run also gives the overhead: the jumps of edge-split blocks are charged
+/// as probe cost (interp/CostModel.h), so its base cost is the pristine
+/// program's.
+///
+/// Ground truth is opt-in (PipelineConfig::CollectGroundTruth). Only then
+/// does the pristine module run as well, with a control-flow trace that is
+/// replayed into GroundTruth; the two runs see identical inputs, so the
+/// trace describes exactly the execution the profile summarizes, and the
+/// pipeline checks that both return the same value at the same base cost.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,9 +40,12 @@ struct PipelineConfig {
   std::string EntryName = "main";
   std::vector<int64_t> Args;
   RunConfig Run;
-  /// Skip tracing / ground truth (for overhead-only benches, where the
-  /// trace memory would dominate).
-  bool CollectGroundTruth = true;
+  /// Also run the pristine module with a control-flow trace and replay it
+  /// into PipelineResult::GT (and BaseCounts). Off by default: the trace
+  /// costs a second run, its replay and memory proportional to the run's
+  /// length, and only callers that compare bounds against the real counts
+  /// need it.
+  bool CollectGroundTruth = false;
   /// Run the lint passes over the base module and the instrumentation
   /// invariant checker over the instrumented one; findings land in
   /// PipelineResult::Lint. Lint errors always abort the pipeline.
@@ -45,22 +55,22 @@ struct PipelineConfig {
 };
 
 struct PipelineResult {
-  std::unique_ptr<Module> BaseModule;  ///< pristine copy that was traced
+  std::unique_ptr<Module> BaseModule;  ///< pristine copy (traced for GT)
   std::unique_ptr<Module> InstrModule; ///< instrumented copy that profiled
   ModuleInstrumentation MI;
   std::unique_ptr<ProfileRuntime> Prof;
-  GroundTruth GT;
-  DynCounts BaseCounts, InstrCounts;
+  GroundTruth GT;         ///< empty unless CollectGroundTruth
+  DynCounts BaseCounts;   ///< pristine run; zero unless CollectGroundTruth
+  DynCounts InstrCounts;  ///< the instrumented run
   int64_t ReturnValue = 0;
   std::vector<std::string> Errors;
   /// Lint and instr-check findings (only populated with Config.Lint).
   std::vector<Diagnostic> Lint;
 
   bool ok() const { return Errors.empty(); }
-  /// Instrumentation overhead in percent (the paper's Table 9 metric).
-  double overheadPercent() const {
-    return InstrCounts.overheadPercentOver(BaseCounts);
-  }
+  /// Instrumentation overhead in percent (the paper's Table 9 metric),
+  /// from the instrumented run alone.
+  double overheadPercent() const { return InstrCounts.overheadPercent(); }
 };
 
 /// Runs the pipeline on a clone of \p M.

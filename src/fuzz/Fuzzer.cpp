@@ -629,9 +629,11 @@ DifferentialRunner::checkProgram(const std::string &Source,
   }
 
   // Both pipelines: baseline traced run + instrumented run, one per engine.
+  // The decode and estimator oracles check against the ground truth.
   PipelineConfig C;
   C.Instr = Setup.InstrOpts;
   C.Args = Setup.Args;
+  C.CollectGroundTruth = true;
   C.Run.MaxSteps = Opts.MaxSteps * 8;
   C.Run.Engine = EngineKind::Reference;
   PipelineResult RRef = runPipeline(*CR.M, C);

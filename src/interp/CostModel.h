@@ -9,7 +9,8 @@
 /// instrumented binary. Our substrate is an interpreter, so we reproduce the
 /// measurement as a dynamic-cost model: every ordinary IR instruction costs
 /// one unit, and each executed probe micro-op is charged what its machine
-/// code equivalent would roughly cost. Overhead% = probe units / base units.
+/// code equivalent would roughly cost. Overhead% = probe units / base units,
+/// where probe units include the jumps of edge-split blocks (SplitJump).
 ///
 /// The absolute constants are knobs; the *relationships* are what matter for
 /// reproducing the paper's curves:
@@ -46,6 +47,13 @@ inline constexpr uint64_t TupleBump = 6;
 
 /// Shadow-stack push/pop or pending-return hand-off.
 inline constexpr uint64_t StackOp = 2;
+
+/// The jump of an edge-split block (Instruction::SplitJump). The block
+/// exists only to host edge probes, so its jump is instrumentation: it
+/// costs what an ordinary instruction costs, but as probe cost. An
+/// instrumented run's base cost then equals the uninstrumented run's, and
+/// one instrumented run gives overhead% on its own.
+inline constexpr uint64_t SplitJump = Instr;
 
 } // namespace cost
 } // namespace olpp

@@ -33,6 +33,8 @@ ExecOp olpp::execBaseOp(ExecOp Op) {
     return ExecOp::CmpGt;
   case ExecOp::CmpGeBr:
     return ExecOp::CmpGe;
+  case ExecOp::SplitBr:
+    return ExecOp::Br;
   case ExecOp::ConstAnd:
   case ExecOp::ConstAdd:
   case ExecOp::ConstAndLoadArrMove:
@@ -146,27 +148,30 @@ static ExecOp specializeProbe(const ProbeProgram &PP) {
   return ExecOp::Probe;
 }
 
-/// Br-fused variant of probe op \p A, or ExecOp::Probe if none exists.
-static ExecOp probeBrOf(ExecOp A) {
+/// Jump-fused variant of probe op \p A: with the program Br behind it, or
+/// with the SplitBr of an edge-split block when \p Split. ExecOp::Probe if
+/// none exists.
+static ExecOp probeBrOf(ExecOp A, bool Split) {
   switch (A) {
   case ExecOp::PrOLPred:
-    return ExecOp::PrOLPredBr;
+    return Split ? ExecOp::PrOLPredSplitBr : ExecOp::PrOLPredBr;
   case ExecOp::PrAddI:
-    return ExecOp::PrAddIBr;
+    return Split ? ExecOp::PrAddISplitBr : ExecOp::PrAddIBr;
   case ExecOp::PrAddII:
-    return ExecOp::PrAddIIBr;
+    return Split ? ExecOp::PrAddIISplitBr : ExecOp::PrAddIIBr;
   case ExecOp::PrSetArmII:
-    return ExecOp::PrSetArmIIBr;
+    return Split ? ExecOp::PrSetArmIISplitBr : ExecOp::PrSetArmIIBr;
   case ExecOp::PrFlushIIArmSet:
-    return ExecOp::PrFlushIIArmSetBr;
+    return Split ? ExecOp::PrFlushIIArmSetSplitBr : ExecOp::PrFlushIIArmSetBr;
   case ExecOp::PrFlushIFlushArmSet:
-    return ExecOp::PrFlushIFlushArmSetBr;
+    return Split ? ExecOp::PrFlushIFlushArmSetSplitBr
+                 : ExecOp::PrFlushIFlushArmSetBr;
   case ExecOp::PrBLAdd:
-    return ExecOp::PrBLAddBr;
+    return Split ? ExecOp::PrBLAddSplitBr : ExecOp::PrBLAddBr;
   case ExecOp::PrBLAddOLAdd:
-    return ExecOp::PrBLAddOLAddBr;
+    return Split ? ExecOp::PrBLAddOLAddSplitBr : ExecOp::PrBLAddOLAddBr;
   case ExecOp::Probe:
-    return ExecOp::PrProbeBr;
+    return Split ? ExecOp::PrProbeSplitBr : ExecOp::PrProbeBr;
   default:
     return ExecOp::Probe; // no fusion
   }
@@ -310,9 +315,9 @@ static ExecOp fuseOf(const ExecInstr &A, const ExecInstr &B) {
     return ExecOp::ConstAdd;
   if (A.Op == ExecOp::Move && B.Op == ExecOp::Br)
     return ExecOp::MoveBr;
-  if (B.Op == ExecOp::Br &&
+  if ((B.Op == ExecOp::Br || B.Op == ExecOp::SplitBr) &&
       (A.Op == ExecOp::Probe || A.Op >= ExecOp::PrOLPred))
-    return probeBrOf(A.Op);
+    return probeBrOf(A.Op, B.Op == ExecOp::SplitBr);
   if (B.Op == ExecOp::Call && A.Op >= ExecOp::PrOLPred)
     return probeCallOf(A.Op);
   if (B.Op == ExecOp::Ret && A.Op >= ExecOp::PrOLPred)
@@ -376,6 +381,8 @@ std::unique_ptr<ExecPlan> olpp::buildExecPlan(const Module &M) {
           E.ArgsCount = static_cast<uint32_t>(I.Args.size());
           FP.ArgPool.insert(FP.ArgPool.end(), I.Args.begin(), I.Args.end());
         }
+        if (I.Op == Opcode::Br && I.SplitJump)
+          E.Op = ExecOp::SplitBr;
         if (I.Op == Opcode::Probe && I.ProbePayload) {
           E.ArgsBegin = static_cast<uint32_t>(FP.ProbePool.size());
           E.ArgsCount = static_cast<uint32_t>(I.ProbePayload->Ops.size());

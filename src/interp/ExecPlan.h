@@ -78,6 +78,10 @@ enum class ExecOp : uint8_t {
   CmpLeBr,
   CmpGtBr,
   CmpGeBr,
+  // A Br with Instruction::SplitJump set: the jump of an edge-split block,
+  // charged as probe cost (interp/CostModel.h). Resolved at decode time so
+  // no Br handler tests the flag.
+  SplitBr,
   // Fused straight-line runs. The handler executes every constituent with
   // its exact per-step fuel and cost accounting but with a single dispatch;
   // the trailing constituents' ExecInstrs stay in place as operand records
@@ -107,7 +111,9 @@ enum class ExecOp : uint8_t {
   // sequences, function entries, call-site and return sequences); decoding
   // them to dedicated opcodes replaces the per-op interpretation loop with
   // straight-line code. The ...Br variants additionally fuse a trailing
-  // unconditional branch — the shape of every split-edge probe block.
+  // program Br, and their ...SplitBr twins (at the end of the enum) the
+  // SplitBr of an edge-split block — the shape of every split-edge probe
+  // block.
   PrOLPred,           ///< [OLPred]
   PrOLPredPredI,      ///< [OLPred, IPPredI]
   PrOLPred2PredI,     ///< [OLPred, OLPred, IPPredI]
@@ -172,11 +178,23 @@ enum class ExecOp : uint8_t {
   PrEnterPredIConstAndLoadArrMove, ///< [BLSet, IPEnter, IPPredI] + CALA, Move
   ConstAddMovePrFlushIIArmSetBr,   ///< CAM + [IPFlushII, OLArm, BLSet] + Br
   ConstAddMovePrFlushIFlushArmSetBr, ///< CAM + PrFlushIFlushArmSet + Br
+  // The probe + Br fusions again, with the SplitBr of an edge-split block
+  // in place of a program Br: the same handlers, except that the jump's
+  // cost unit is probe cost.
+  PrOLPredSplitBr,
+  PrAddISplitBr,
+  PrAddIISplitBr,
+  PrSetArmIISplitBr,
+  PrFlushIIArmSetSplitBr,
+  PrProbeSplitBr,
+  PrFlushIFlushArmSetSplitBr,
+  PrBLAddSplitBr,
+  PrBLAddOLAddSplitBr,
 };
 
 inline constexpr unsigned kNumBaseOps = static_cast<unsigned>(ExecOp::Probe) + 1;
 inline constexpr unsigned kNumExecOps =
-    static_cast<unsigned>(ExecOp::ConstAddMovePrFlushIFlushArmSetBr) + 1;
+    static_cast<unsigned>(ExecOp::PrBLAddOLAddSplitBr) + 1;
 
 /// One pre-decoded instruction. Branch targets are program counters into
 /// the owning FuncPlan::Code plus the target's block id (for trace events

@@ -406,7 +406,7 @@ RunResult Interpreter::runFast(const Function &Entry,
       &&L_LoadG,   &&L_StoreG,  &&L_LoadArr, &&L_StoreArr, &&L_Call,
       &&L_CallInd, &&L_Ret,     &&L_Br,      &&L_CondBr,   &&L_Probe,
       &&L_CmpEqBr, &&L_CmpNeBr, &&L_CmpLtBr, &&L_CmpLeBr,  &&L_CmpGtBr,
-      &&L_CmpGeBr,
+      &&L_CmpGeBr, &&L_SplitBr,
       &&L_ConstAnd,     &&L_AndLoadArr,      &&L_LoadArrMove,
       &&L_AddMove,      &&L_MoveConst,       &&L_ConstAdd,
       &&L_MoveBr,       &&L_ConstAndLoadArrMove,
@@ -441,6 +441,11 @@ RunResult Interpreter::runFast(const Function &Entry,
       &&L_PrEnterPredIConstAndLoadArrMove,
       &&L_ConstAddMovePrFlushIIArmSetBr,
       &&L_ConstAddMovePrFlushIFlushArmSetBr,
+      &&L_PrOLPredSplitBr,     &&L_PrAddISplitBr,
+      &&L_PrAddIISplitBr,      &&L_PrSetArmIISplitBr,
+      &&L_PrFlushIIArmSetSplitBr, &&L_PrProbeSplitBr,
+      &&L_PrFlushIFlushArmSetSplitBr, &&L_PrBLAddSplitBr,
+      &&L_PrBLAddOLAddSplitBr,
   };
 
 #define OLPP_FUEL()                                                            \
@@ -496,6 +501,11 @@ RunResult Interpreter::runFast(const Function &Entry,
   }
 #define OLPP_BR_BODY(J)                                                        \
   Base += cost::Instr;                                                         \
+  OLPP_JUMP(J)
+#define OLPP_SPLITBR_BODY(J)                                                   \
+  PCostSum += cost::SplitJump;                                                 \
+  OLPP_JUMP(J)
+#define OLPP_JUMP(J)                                                           \
   Pc = (J)->Target0Pc;                                                         \
   Block = (J)->Target0Blk;                                                     \
   ++Blocks;                                                                    \
@@ -936,6 +946,9 @@ L_Ret: {
 L_Br:
   OLPP_BR_BODY(I)
   OLPP_DISPATCH();
+L_SplitBr:
+  OLPP_SPLITBR_BODY(I)
+  OLPP_DISPATCH();
 L_CondBr: {
   Base += cost::Instr;
   bool Taken = Regs[I->Src0] != 0;
@@ -1200,58 +1213,52 @@ L_PrSetArmII: {
   OLPP_PR_END
 }
 
-  // Probe + trailing unconditional Br (the shape of every split-edge probe
-  // block): the probe body, a fuel check for the branch step, the branch.
-#define OLPP_PRBR_END                                                          \
-  PCostSum += PCost;                                                           \
-  }                                                                            \
-  OLPP_FUEL();                                                                 \
-  OLPP_BR_BODY(I + 1)                                                          \
-  OLPP_DISPATCH();
+  // Probe + trailing unconditional jump: the probe body, a fuel check for
+  // the jump step, the jump. Each shape comes twice: with a program Br
+  // (JUMP = OLPP_BR_BODY, base cost) and with the SplitBr of an edge-split
+  // block (OLPP_SPLITBR_BODY, probe cost); the decoder picked the twin, so
+  // no handler tests which jump it runs.
+#define OLPP_PRBR(LABEL, JUMP, BODY)                                           \
+  LABEL : {                                                                    \
+    if (Counts) {                                                              \
+      const ProbeOp *const Ops = ProbeOps + I->ArgsBegin;                      \
+      uint64_t PCost = 0;                                                      \
+      BODY                                                                     \
+      PCostSum += PCost;                                                       \
+    }                                                                          \
+    OLPP_FUEL();                                                               \
+    JUMP(I + 1)                                                                \
+    OLPP_DISPATCH();                                                           \
+  }
 
-L_PrOLPredBr: {
-  if (Counts) {
-    const ProbeOp *const Ops = ProbeOps + I->ArgsBegin;
-    uint64_t PCost = 0;
-    OLPP_PB_OLPRED(Ops, 0)
-    OLPP_PRBR_END
-}
-L_PrAddIBr: {
-  if (Counts) {
-    const ProbeOp *const Ops = ProbeOps + I->ArgsBegin;
-    uint64_t PCost = 0;
-    OLPP_PB_ADDI(Ops, 0)
-    OLPP_PRBR_END
-}
-L_PrAddIIBr: {
-  if (Counts) {
-    const ProbeOp *const Ops = ProbeOps + I->ArgsBegin;
-    uint64_t PCost = 0;
-    OLPP_PB_ADDII_FIRST(Ops, 0)
-    OLPP_PRBR_END
-}
-L_PrSetArmIIBr: {
-  if (Counts) {
-    const ProbeOp *const Ops = ProbeOps + I->ArgsBegin;
-    uint64_t PCost = 0;
-    OLPP_PB_BLSET(Ops, 0)
-    OLPP_PB_ARMII(Ops, 1)
-    OLPP_PRBR_END
-}
-L_PrFlushIIArmSetBr: {
-  if (Counts) {
-    const ProbeOp *const Ops = ProbeOps + I->ArgsBegin;
-    uint64_t PCost = 0;
-    OLPP_PB_FLUSHII_FIRST(Ops, 0)
-    OLPP_PB_OLARM(Ops, 1)
-    OLPP_PB_BLSET(Ops, 2)
-    OLPP_PRBR_END
-}
+  OLPP_PRBR(L_PrOLPredBr, OLPP_BR_BODY, OLPP_PB_OLPRED(Ops, 0))
+  OLPP_PRBR(L_PrOLPredSplitBr, OLPP_SPLITBR_BODY, OLPP_PB_OLPRED(Ops, 0))
+  OLPP_PRBR(L_PrAddIBr, OLPP_BR_BODY, OLPP_PB_ADDI(Ops, 0))
+  OLPP_PRBR(L_PrAddISplitBr, OLPP_SPLITBR_BODY, OLPP_PB_ADDI(Ops, 0))
+  OLPP_PRBR(L_PrAddIIBr, OLPP_BR_BODY, OLPP_PB_ADDII_FIRST(Ops, 0))
+  OLPP_PRBR(L_PrAddIISplitBr, OLPP_SPLITBR_BODY, OLPP_PB_ADDII_FIRST(Ops, 0))
+  OLPP_PRBR(L_PrSetArmIIBr, OLPP_BR_BODY,
+            OLPP_PB_BLSET(Ops, 0) OLPP_PB_ARMII(Ops, 1))
+  OLPP_PRBR(L_PrSetArmIISplitBr, OLPP_SPLITBR_BODY,
+            OLPP_PB_BLSET(Ops, 0) OLPP_PB_ARMII(Ops, 1))
+  OLPP_PRBR(L_PrFlushIIArmSetBr, OLPP_BR_BODY,
+            OLPP_PB_FLUSHII_FIRST(Ops, 0) OLPP_PB_OLARM(Ops, 1)
+                OLPP_PB_BLSET(Ops, 2))
+  OLPP_PRBR(L_PrFlushIIArmSetSplitBr, OLPP_SPLITBR_BODY,
+            OLPP_PB_FLUSHII_FIRST(Ops, 0) OLPP_PB_OLARM(Ops, 1)
+                OLPP_PB_BLSET(Ops, 2))
 L_PrProbeBr: {
   if (Counts)
     goto GenericProbe;
   OLPP_FUEL();
   OLPP_BR_BODY(I + 1)
+  OLPP_DISPATCH();
+}
+L_PrProbeSplitBr: {
+  if (Counts)
+    goto GenericProbe;
+  OLPP_FUEL();
+  OLPP_SPLITBR_BODY(I + 1)
   OLPP_DISPATCH();
 }
 
@@ -1422,31 +1429,19 @@ L_PrBLAddOLAdd: {
   OLPP_PB_OLADD(Ops, 1)
   OLPP_PR_END
 }
-L_PrFlushIFlushArmSetBr: {
-  if (Counts) {
-    const ProbeOp *const Ops = ProbeOps + I->ArgsBegin;
-    uint64_t PCost = 0;
-    OLPP_PB_FLUSHI(Ops, 0)
-    OLPP_PB_OLFLUSH(Ops, 1)
-    OLPP_PB_OLARM(Ops, 2)
-    OLPP_PB_BLSET(Ops, 3)
-    OLPP_PRBR_END
-}
-L_PrBLAddBr: {
-  if (Counts) {
-    const ProbeOp *const Ops = ProbeOps + I->ArgsBegin;
-    uint64_t PCost = 0;
-    OLPP_PB_BLADD(Ops, 0)
-    OLPP_PRBR_END
-}
-L_PrBLAddOLAddBr: {
-  if (Counts) {
-    const ProbeOp *const Ops = ProbeOps + I->ArgsBegin;
-    uint64_t PCost = 0;
-    OLPP_PB_BLADD(Ops, 0)
-    OLPP_PB_OLADD(Ops, 1)
-    OLPP_PRBR_END
-}
+  OLPP_PRBR(L_PrFlushIFlushArmSetBr, OLPP_BR_BODY,
+            OLPP_PB_FLUSHI(Ops, 0) OLPP_PB_OLFLUSH(Ops, 1)
+                OLPP_PB_OLARM(Ops, 2) OLPP_PB_BLSET(Ops, 3))
+  OLPP_PRBR(L_PrFlushIFlushArmSetSplitBr, OLPP_SPLITBR_BODY,
+            OLPP_PB_FLUSHI(Ops, 0) OLPP_PB_OLFLUSH(Ops, 1)
+                OLPP_PB_OLARM(Ops, 2) OLPP_PB_BLSET(Ops, 3))
+  OLPP_PRBR(L_PrBLAddBr, OLPP_BR_BODY, OLPP_PB_BLADD(Ops, 0))
+  OLPP_PRBR(L_PrBLAddSplitBr, OLPP_SPLITBR_BODY, OLPP_PB_BLADD(Ops, 0))
+  OLPP_PRBR(L_PrBLAddOLAddBr, OLPP_BR_BODY,
+            OLPP_PB_BLADD(Ops, 0) OLPP_PB_OLADD(Ops, 1))
+  OLPP_PRBR(L_PrBLAddOLAddSplitBr, OLPP_SPLITBR_BODY,
+            OLPP_PB_BLADD(Ops, 0) OLPP_PB_OLADD(Ops, 1))
+#undef OLPP_PRBR
 
   // Probe + Call / probe + Ret fusions: the probe step, then the plain
   // Call/Ret step via its ordinary handler body (I is advanced onto the
@@ -1872,6 +1867,11 @@ GenericProbe:
     OLPP_BR_BODY(I + 1)
     OLPP_DISPATCH();
   }
+  if (I->Op == ExecOp::PrProbeSplitBr) {
+    OLPP_FUEL();
+    OLPP_SPLITBR_BODY(I + 1)
+    OLPP_DISPATCH();
+  }
   OLPP_NEXT();
 }
 
@@ -1935,7 +1935,6 @@ TraceLookup:
   }
   OLPP_DISPATCH();
 }
-#undef OLPP_PRBR_END
 #undef OLPP_PR_CALL_END
 #undef OLPP_PR_RET_END
 #undef OLPP_PR_END
@@ -1960,6 +1959,8 @@ TraceLookup:
 #undef OLPP_CONDBR_BODY
 #undef OLPP_CMP_BODY
 #undef OLPP_LOADG_BODY
+#undef OLPP_JUMP
+#undef OLPP_SPLITBR_BODY
 #undef OLPP_BR_BODY
 #undef OLPP_LOADARR_BODY
 #undef OLPP_AND_BODY
@@ -2218,7 +2219,10 @@ RunResult Interpreter::runReference(const Function &Entry,
       continue;
     }
     case Opcode::Br:
-      C.BaseCost += cost::Instr;
+      if (I.SplitJump)
+        C.ProbeCost += cost::SplitJump;
+      else
+        C.BaseCost += cost::Instr;
       Goto(I.Target0);
       continue;
     case Opcode::CondBr:

@@ -86,6 +86,16 @@ struct DynCounts {
   uint64_t Blocks = 0;    ///< basic block entries
   uint64_t Calls = 0;     ///< executed call instructions
 
+  /// Instrumentation overhead in percent of one instrumented run: probe
+  /// cost over base cost. Equal, bit for bit, to overheadPercentOver the
+  /// uninstrumented run, whose base cost is this run's (the jumps of
+  /// edge-split blocks are probe cost).
+  double overheadPercent() const {
+    if (BaseCost == 0)
+      return 0.0;
+    return 100.0 * static_cast<double>(ProbeCost) /
+           static_cast<double>(BaseCost);
+  }
   /// Instrumentation overhead in percent relative to \p Baseline (the same
   /// program executed uninstrumented).
   double overheadPercentOver(const DynCounts &Baseline) const {

@@ -581,8 +581,7 @@ void TraceCompiler::doBranch(const ExecInstr &E) {
   if (!nextBlockEvent(Blk))
     return;
   uint32_t TargetPc;
-  if (E.Op == ExecOp::Br ||
-      execBaseOp(E.Op) == ExecOp::Br) { // unconditional
+  if (execBaseOp(E.Op) == ExecOp::Br) { // unconditional (Br or SplitBr)
     if (Blk != E.Target0Blk) {
       fail();
       return;
@@ -614,7 +613,10 @@ void TraceCompiler::doBranch(const ExecInstr &E) {
     TargetPc = Taken ? E.Target0Pc : E.Target1Pc;
   }
   CumSteps += 1;
-  CumBase += cost::Instr;
+  if (E.Op == ExecOp::SplitBr)
+    CumPCost += cost::SplitJump;
+  else
+    CumBase += cost::Instr;
   CumBlocks += 1;
   ++BaseIdx;
   Pc = TargetPc;

@@ -90,6 +90,10 @@ struct Instruction {
   /// Shared so that cloning a module is cheap; probe programs are immutable
   /// once attached.
   std::shared_ptr<const ProbeProgram> ProbePayload;
+  /// Set on the Br of an edge-split block: the jump exists only to host
+  /// edge probes, so the engines charge it as probe cost, not base cost
+  /// (interp/CostModel.h).
+  bool SplitJump = false;
 };
 
 } // namespace olpp

@@ -183,6 +183,8 @@ std::string olpp::printInstruction(const Instruction &I, const Module *M) {
     break;
   case Opcode::Br:
     Out += " " + Block(I.Target0);
+    if (I.SplitJump)
+      Out += " [split]";
     break;
   case Opcode::CondBr:
     Out += " " + regName(I.Src0) + ", " + Block(I.Target0) + ", " +

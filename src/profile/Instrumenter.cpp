@@ -454,6 +454,7 @@ private:
 
     for (Split &Sp : Splits) {
       BasicBlock *Mid = splitEdge(F, F.block(Sp.From), F.block(Sp.To));
+      Mid->terminator().SplitJump = true;
       Mid->Instrs.insert(Mid->Instrs.begin(), makeProbe(std::move(Sp.OpsList)));
     }
   }

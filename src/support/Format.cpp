@@ -69,3 +69,17 @@ bool olpp::parseUnsigned(const char *Text, uint64_t Min, uint64_t Max,
   Out = V;
   return true;
 }
+
+bool olpp::parseSigned(const char *Text, int64_t &Out) {
+  const bool Neg = Text && *Text == '-';
+  // |INT64_MIN| = INT64_MAX + 1 fits the unsigned magnitude.
+  const uint64_t Limit = static_cast<uint64_t>(INT64_MAX) + (Neg ? 1 : 0);
+  uint64_t Mag = 0;
+  if (!parseUnsigned(Neg ? Text + 1 : Text, 0, Limit, Mag))
+    return false;
+  if (!Neg)
+    Out = static_cast<int64_t>(Mag);
+  else
+    Out = Mag == Limit ? INT64_MIN : -static_cast<int64_t>(Mag);
+  return true;
+}

@@ -41,6 +41,11 @@ std::string padRight(const std::string &S, size_t Width);
 bool parseUnsigned(const char *Text, uint64_t Min, uint64_t Max,
                    uint64_t &Out);
 
+/// Parses all of \p Text as a decimal int64_t: an optional '-', then
+/// digits only. Returns false, leaving \p Out untouched, on anything else
+/// (as parseUnsigned) or a value outside int64_t.
+bool parseSigned(const char *Text, int64_t &Out);
+
 } // namespace olpp
 
 #endif // OLPP_SUPPORT_FORMAT_H

@@ -33,7 +33,14 @@ TEST(Pipeline, RuntimeErrorsPropagate) {
   PipelineResult R =
       runPipelineOnSource("fn main(a) { return 1 / a; }", C);
   EXPECT_FALSE(R.ok());
-  EXPECT_NE(R.Errors[0].find("baseline run failed"), std::string::npos);
+  EXPECT_NE(R.Errors[0].find("instrumented run failed: division by zero"),
+            std::string::npos);
+  // With ground truth the pristine run goes first and reports the fault.
+  C.CollectGroundTruth = true;
+  R = runPipelineOnSource("fn main(a) { return 1 / a; }", C);
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.Errors[0].find("baseline run failed: division by zero"),
+            std::string::npos);
 }
 
 TEST(Pipeline, FuelExhaustionPropagates) {
@@ -46,8 +53,7 @@ TEST(Pipeline, FuelExhaustionPropagates) {
 }
 
 TEST(Pipeline, SkippingGroundTruthStillProfiles) {
-  PipelineConfig C;
-  C.CollectGroundTruth = false;
+  PipelineConfig C; // ground truth is off by default
   C.Args = {10};
   PipelineResult R = runPipelineOnSource(
       "fn main(n) { var s = 0; for (var i = 0; i < n; i = i + 1) "
@@ -60,12 +66,16 @@ TEST(Pipeline, SkippingGroundTruthStillProfiles) {
     for (const auto &[Id, Count] : Map)
       Total += Count;
   EXPECT_GT(Total, 0u);
-  // No trace was replayed.
+  // No trace was replayed and the pristine module never ran, yet the one
+  // instrumented run still prices its probes.
   EXPECT_EQ(R.GT.TotalPathInstances, 0u);
+  EXPECT_EQ(R.BaseCounts, DynCounts());
+  EXPECT_GT(R.overheadPercent(), 0.0);
 }
 
 TEST(Pipeline, BaselineAndInstrumentedAgree) {
   PipelineConfig C;
+  C.CollectGroundTruth = true;
   C.Args = {23, 5};
   C.Instr.LoopOverlap = true;
   C.Instr.LoopDegree = 2;
@@ -80,12 +90,15 @@ TEST(Pipeline, BaselineAndInstrumentedAgree) {
     })",
                                          C);
   ASSERT_TRUE(R.ok()) << R.Errors[0];
-  // The facade itself checks return-value agreement; also sanity-check the
-  // cost accounting directions.
+  // The facade itself checks return-value and base-cost agreement; also
+  // sanity-check the cost accounting directions.
   EXPECT_GT(R.InstrCounts.totalCost(), R.BaseCounts.totalCost());
   EXPECT_EQ(R.BaseCounts.ProbeCost, 0u);
   EXPECT_GT(R.InstrCounts.ProbeCost, 0u);
+  EXPECT_EQ(R.InstrCounts.BaseCost, R.BaseCounts.BaseCost);
   EXPECT_GT(R.overheadPercent(), 0.0);
+  EXPECT_EQ(R.overheadPercent(),
+            R.InstrCounts.overheadPercentOver(R.BaseCounts));
 }
 
 TEST(Pipeline, ModulesAreIndependentCopies) {

@@ -37,6 +37,7 @@ PipelineResult run(const char *Src, InstrumentOptions O,
   PipelineConfig C;
   C.Instr = O;
   C.Args = std::move(Args);
+  C.CollectGroundTruth = true;
   PipelineResult R = runPipelineOnSource(Src, C);
   EXPECT_TRUE(R.ok()) << (R.Errors.empty() ? "" : R.Errors[0]);
   return R;

@@ -48,6 +48,7 @@ PipelineConfig makeConfig(const InstrumentOptions &O, int64_t A, int64_t B) {
   C.Instr = O;
   C.Args = {A, B};
   C.Run.MaxSteps = 20'000'000;
+  C.CollectGroundTruth = true;
   return C;
 }
 

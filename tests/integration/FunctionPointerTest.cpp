@@ -101,6 +101,7 @@ TEST(FunctionPointers, InstrumentationExactWithIndirectCalls) {
     Config.Instr.LoopOverlap = true;
     Config.Instr.LoopDegree = K;
     Config.Args = {30};
+    Config.CollectGroundTruth = true;
     PipelineResult R = runPipeline(*CR.M, Config);
     ASSERT_TRUE(R.ok()) << R.Errors[0];
     ExpectedCounters EC = computeExpectedCounters(R.MI, R.GT);
@@ -132,6 +133,7 @@ TEST(FunctionPointers, EstimationSoundAcrossCallees) {
     Config.Instr.Interproc = true;
     Config.Instr.InterprocDegree = K;
     Config.Args = {30};
+    Config.CollectGroundTruth = true;
     PipelineResult R = runPipeline(*CR.M, Config);
     ASSERT_TRUE(R.ok()) << R.Errors[0];
     ModuleEstimator Est(*R.InstrModule, R.MI, *R.Prof);

@@ -39,6 +39,7 @@ PipelineConfig fullConfig(std::vector<int64_t> Args) {
   C.Instr.Interproc = true;
   C.Instr.InterprocDegree = 2;
   C.Args = std::move(Args);
+  C.CollectGroundTruth = true;
   return C;
 }
 

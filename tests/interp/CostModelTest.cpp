@@ -113,3 +113,51 @@ TEST(CostModel, ProbesAreFreeWithoutARuntime) {
   ASSERT_TRUE(Res.Ok);
   EXPECT_EQ(Res.Counts.ProbeCost, 0u);
 }
+
+// The jump of an edge-split block is instrumentation: both engines charge
+// it as probe cost, with or without a runtime attached, whether the fast
+// engine fuses it with the probe ahead of it or runs it on its own. A
+// program's own jump stays base cost, fused behind a probe too.
+TEST(CostModel, SplitJumpIsProbeCost) {
+  Module M;
+  Function *F = M.addFunction("f", 0);
+  BasicBlock *Entry = F->addBlock("entry");
+  BasicBlock *Split = F->addBlock("entry.to.mid");
+  BasicBlock *Mid = F->addBlock("mid");
+  BasicBlock *Exit = F->addBlock("exit");
+  Instruction P;
+  P.Op = Opcode::Probe;
+  auto Prog = std::make_shared<ProbeProgram>();
+  Prog->Ops.push_back({ProbeOpKind::BLSet, 0, 5, 0});
+  P.ProbePayload = Prog;
+  Instruction Br;
+  Br.Op = Opcode::Br;
+  Br.Target0 = Split; // a program jump behind a probe: base cost
+  Entry->Instrs = {P, Br};
+  Br.Target0 = Mid;
+  Br.SplitJump = true; // an edge-split jump behind a probe
+  Split->Instrs = {P, Br};
+  Br.Target0 = Exit; // an edge-split jump on its own
+  Mid->Instrs = {Br};
+  Instruction R;
+  R.Op = Opcode::Ret;
+  Exit->Instrs = {R};
+  F->renumberBlocks();
+
+  for (EngineKind E : {EngineKind::Fast, EngineKind::Reference}) {
+    RunConfig RC;
+    RC.Engine = E;
+    ProfileRuntime Prof(1);
+    Interpreter With(M, &Prof);
+    RunResult A = With.run(*F, {}, RC);
+    ASSERT_TRUE(A.Ok) << A.Error;
+    EXPECT_EQ(A.Counts.BaseCost, 2 * cost::Instr) << engineKindName(E);
+    EXPECT_EQ(A.Counts.ProbeCost, 2 * cost::RegOp + 2 * cost::SplitJump)
+        << engineKindName(E);
+    Interpreter Without(M, nullptr);
+    RunResult B = Without.run(*F, {}, RC);
+    ASSERT_TRUE(B.Ok) << B.Error;
+    EXPECT_EQ(B.Counts.BaseCost, 2 * cost::Instr) << engineKindName(E);
+    EXPECT_EQ(B.Counts.ProbeCost, 2 * cost::SplitJump) << engineKindName(E);
+  }
+}

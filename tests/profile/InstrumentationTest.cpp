@@ -45,6 +45,7 @@ PipelineResult runCfg(const char *Src, InstrumentOptions Instr,
   PipelineConfig C;
   C.Instr = Instr;
   C.Args = std::move(Args);
+  C.CollectGroundTruth = true;
   PipelineResult R = runPipelineOnSource(Src, C);
   EXPECT_TRUE(R.ok()) << (R.Errors.empty() ? "" : R.Errors[0]);
   return R;

@@ -108,6 +108,7 @@ TEST(MultiLatch, CountersExactAcrossDegrees) {
     C.Instr.LoopOverlap = true;
     C.Instr.LoopDegree = K;
     C.Args = {13};
+    C.CollectGroundTruth = true;
     PipelineResult R = runPipeline(*M, C);
     ASSERT_TRUE(R.ok()) << "k=" << K << ": " << R.Errors[0];
     ExpectedCounters EC = computeExpectedCounters(R.MI, R.GT);
@@ -123,6 +124,7 @@ TEST(MultiLatch, ZeroIterationLoopIsFine) {
   C.Instr.LoopOverlap = true;
   C.Instr.LoopDegree = 2;
   C.Args = {0}; // loop never entered
+  C.CollectGroundTruth = true;
   PipelineResult R = runPipeline(*M, C);
   ASSERT_TRUE(R.ok()) << R.Errors[0];
   EXPECT_EQ(R.GT.TotalBackedgeCrossings, 0u);

@@ -63,6 +63,33 @@ TEST(Format, ParseUnsignedRejectsJunkSignsOverflowAndRange) {
   EXPECT_EQ(V, 42u); // untouched on every failure
 }
 
+TEST(Format, ParseSignedTakesWholeDecimals) {
+  int64_t V = 7;
+  EXPECT_TRUE(parseSigned("0", V));
+  EXPECT_EQ(V, 0);
+  EXPECT_TRUE(parseSigned("-0", V));
+  EXPECT_EQ(V, 0);
+  EXPECT_TRUE(parseSigned("-41", V));
+  EXPECT_EQ(V, -41);
+  EXPECT_TRUE(parseSigned("-010", V));
+  EXPECT_EQ(V, -10);
+  EXPECT_TRUE(parseSigned("9223372036854775807", V));
+  EXPECT_EQ(V, INT64_MAX);
+  EXPECT_TRUE(parseSigned("-9223372036854775808", V));
+  EXPECT_EQ(V, INT64_MIN);
+}
+
+TEST(Format, ParseSignedRejectsJunkAndOverflow) {
+  int64_t V = 42;
+  for (const char *Bad : {"", "-", "--1", "+1", "abc", "4x", "x41", "-4x",
+                          " 1", "1 ", "- 1", "1.5", "0x10",
+                          "9223372036854775808", "-9223372036854775809",
+                          "99999999999999999999999"})
+    EXPECT_FALSE(parseSigned(Bad, V)) << "'" << Bad << "'";
+  EXPECT_FALSE(parseSigned(nullptr, V));
+  EXPECT_EQ(V, 42); // untouched on every failure
+}
+
 TEST(Rng, Deterministic) {
   Rng A(42), B(42);
   for (int I = 0; I < 100; ++I)

@@ -52,6 +52,7 @@ TEST(Workloads, SuiteSpansLoopVsCallCharacter) {
     ASSERT_TRUE(CR.ok());
     PipelineConfig C;
     C.Args = W.PrecisionArgs;
+    C.CollectGroundTruth = true;
     PipelineResult R = runPipeline(*CR.M, C);
     ASSERT_TRUE(R.ok()) << W.Name;
     double Share = static_cast<double>(R.GT.TotalBackedgeCrossings) /
@@ -77,6 +78,7 @@ TEST(Workloads, CountersExactOnEveryBenchmark) {
     C.Instr.Interproc = true;
     C.Instr.InterprocDegree = 1;
     C.Args = {2, 7};
+    C.CollectGroundTruth = true;
     PipelineResult R = runPipeline(*CR.M, C);
     ASSERT_TRUE(R.ok()) << W.Name << ": " << R.Errors[0];
     ExpectedCounters EC = computeExpectedCounters(R.MI, R.GT);
